@@ -1,5 +1,7 @@
 #include "obs/flight.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "common/env.h"
 #include "common/log.h"
@@ -110,10 +113,26 @@ const char* PhaseName(Phase p) {
   return "unknown";
 }
 
-Ring::Ring(int pid, uint64_t slots)
-    : pid_(pid), slots_(slots), ring_(new Slot[slots]) {}
+namespace {
 
-Ring::~Ring() { delete[] ring_; }
+template <typename T>
+std::atomic_ref<T> Ref(T& field) {
+  static_assert(alignof(T) >= std::atomic_ref<T>::required_alignment);
+  return std::atomic_ref<T>(field);
+}
+
+}  // namespace
+
+Ring::Ring(int pid, uint64_t slots) : pid_(pid), slots_(slots) {
+  // Fresh anonymous pages read as zero (every slot empty) and are only
+  // committed when a record first lands in them.
+  void* mem = mmap(nullptr, slots * sizeof(Slot), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  RCC_CHECK(mem != MAP_FAILED) << "flight ring mmap failed";
+  ring_ = static_cast<Slot*>(mem);
+}
+
+Ring::~Ring() { munmap(ring_, slots_ * sizeof(Slot)); }
 
 void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c) {
   const uint64_t i = head_.fetch_add(1, std::memory_order_relaxed);
@@ -121,13 +140,32 @@ void Ring::Record(Ev kind, double t, int64_t a, int64_t b, double c) {
   // Seqlock publication: odd while the fields are being replaced, then
   // 2*i+2 (even, index-stamped) once the event is whole. A reader that
   // sees any other value skips the slot.
-  s.seq.store(2 * i + 1, std::memory_order_relaxed);
-  s.t.store(t, std::memory_order_relaxed);
-  s.kind.store(static_cast<uint16_t>(kind), std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.c.store(c, std::memory_order_relaxed);
-  s.seq.store(2 * i + 2, std::memory_order_release);
+  //
+  // One writer per slot at a time: a writer that lapped the ring while
+  // an older one is still filling this slot (odd sequence) waits for it,
+  // and an older writer that finds a newer event already claimed drops
+  // its own, which is outside the ring's window anyway. Two writers
+  // filling one slot together could otherwise publish a mix of both.
+  std::atomic_ref<uint64_t> seq = Ref(s.seq);
+  uint64_t cur = seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (cur >= 2 * i + 1) return;
+    if (cur % 2 == 1) {
+      std::this_thread::yield();
+      cur = seq.load(std::memory_order_relaxed);
+    } else if (seq.compare_exchange_weak(cur, 2 * i + 1,
+                                         std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Release stores pair with the reader's acquire loads: a reader that
+  // sees any of these values also sees the odd claim on its re-check.
+  Ref(s.t).store(t, std::memory_order_release);
+  Ref(s.kind).store(static_cast<uint16_t>(kind), std::memory_order_release);
+  Ref(s.a).store(a, std::memory_order_release);
+  Ref(s.b).store(b, std::memory_order_release);
+  Ref(s.c).store(c, std::memory_order_release);
+  seq.store(2 * i + 2, std::memory_order_release);
 }
 
 std::vector<Event> Ring::Snapshot() const {
@@ -136,17 +174,17 @@ std::vector<Event> Ring::Snapshot() const {
   std::vector<Event> out;
   out.reserve(head - first);
   for (uint64_t i = first; i < head; ++i) {
-    const Slot& s = ring_[i % slots_];
-    if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
+    Slot& s = ring_[i % slots_];
+    if (Ref(s.seq).load(std::memory_order_acquire) != 2 * i + 2) continue;
     Event e;
     e.index = i;
-    e.t = s.t.load(std::memory_order_relaxed);
-    e.kind = static_cast<Ev>(s.kind.load(std::memory_order_relaxed));
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.c = s.c.load(std::memory_order_relaxed);
+    e.t = Ref(s.t).load(std::memory_order_acquire);
+    e.kind = static_cast<Ev>(Ref(s.kind).load(std::memory_order_acquire));
+    e.a = Ref(s.a).load(std::memory_order_acquire);
+    e.b = Ref(s.b).load(std::memory_order_acquire);
+    e.c = Ref(s.c).load(std::memory_order_acquire);
     // Re-check: if a writer lapped us mid-copy the fields are torn.
-    if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) continue;
+    if (Ref(s.seq).load(std::memory_order_acquire) != 2 * i + 2) continue;
     out.push_back(e);
   }
   return out;
@@ -198,9 +236,13 @@ std::string Ring::ToJson(const std::string& reason) const {
 
 void Ring::Reset() {
   // Only safe between runs (no concurrent writers): unpublish every
-  // slot, then rewind the head.
-  for (uint64_t k = 0; k < slots_; ++k) {
-    ring_[k].seq.store(0, std::memory_order_relaxed);
+  // written slot, then rewind the head. Slots at or past the head were
+  // never written (or were unpublished by an earlier Reset) and are left
+  // untouched, so their pages stay uncommitted.
+  const uint64_t written = std::min(head_.load(std::memory_order_relaxed),
+                                    slots_);
+  for (uint64_t k = 0; k < written; ++k) {
+    Ref(ring_[k].seq).store(0, std::memory_order_relaxed);
   }
   head_.store(0, std::memory_order_relaxed);
 }

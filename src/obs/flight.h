@@ -5,12 +5,12 @@
 // admission-protocol rounds, serving batcher admits/completions, and
 // kvstore waits.
 //
-// Recording costs a few relaxed atomics per event (one fetch_add to
-// claim a slot, relaxed field stores, one release store publishing the
-// slot's sequence number), so it stays on by default even in chaos
-// campaigns and scale smokes. Readers (DumpAll, postmortem tests)
-// snapshot a ring seqlock-style: a slot whose sequence is odd or moved
-// during the copy is being overwritten and is skipped.
+// Recording costs a few atomics per event (one fetch_add to pick a slot,
+// one compare-exchange claiming it, release field stores, one release
+// store publishing the slot's sequence number), so it stays on by
+// default even in chaos campaigns and scale smokes. Readers (DumpAll,
+// postmortem tests) snapshot a ring seqlock-style: a slot whose sequence
+// is odd or moved during the copy is being overwritten and is skipped.
 //
 // Dumps — one JSON file per rank, flight_rank<pid>.json — are triggered
 // automatically on worker abort (DumpOnAbort), on a proven fiber-
@@ -157,19 +157,22 @@ class Ring {
   void Reset();
 
  private:
+  // Plain fields, every access through std::atomic_ref: the slot array
+  // is anonymous zero-filled memory, committed page by page on first
+  // write, so an idle ring costs no RSS.
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // 2*index+1 while writing, 2*index+2 done
-    std::atomic<double> t{0.0};
-    std::atomic<uint16_t> kind{0};
-    std::atomic<int64_t> a{0};
-    std::atomic<int64_t> b{0};
-    std::atomic<double> c{0.0};
+    uint64_t seq;  // 0 empty, 2*index+1 while writing, 2*index+2 done
+    double t;
+    uint16_t kind;
+    int64_t a;
+    int64_t b;
+    double c;
   };
 
   int pid_;
   uint64_t slots_;
   std::atomic<uint64_t> head_{0};
-  Slot* ring_;
+  Slot* ring_;  // slots_ entries, mmap'd
 };
 
 // Global on/off. Initialized from RCC_FLIGHT (default on); SetEnabled

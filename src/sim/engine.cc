@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <list>
 #include <queue>
 #include <string>
 #include <thread>
@@ -18,8 +18,9 @@
 #include "common/env.h"
 #include "common/log.h"
 
-// TSan needs to be told about stack switches or it reports false races
-// between code that ran on different fibers of the same OS thread.
+// Sanitizers must be told about stack switches: TSan or it reports false
+// races between code that ran on different fibers of the same OS thread,
+// ASan or it checks a fiber's frames against the wrong stack bounds.
 #if defined(__SANITIZE_THREAD__)
 #define RCC_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -29,6 +30,79 @@
 #endif
 #ifdef RCC_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define RCC_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RCC_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef RCC_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if defined(__x86_64__)
+extern "C" {
+// Register-only switch (System V x86-64). Pushes what the ABI makes
+// callee-saved across a call -- rbx, rbp, r12-r15, the MXCSR and the x87
+// control word -- onto the outgoing stack, stores the stack pointer in
+// *from_sp, and pops the same frame off to_sp. Caller-saved registers
+// are dead across the call. Unlike swapcontext it leaves the signal
+// mask alone, so a switch makes no rt_sigprocmask syscall: every fiber
+// runs on the thread that pumps the scheduler, and nothing in the
+// simulator changes a mask per fiber.
+void rcc_sim_fiber_switch(void** from_sp, void* to_sp);
+// First frame of a new fiber: calls r13(r12) and never returns.
+void rcc_sim_fiber_entry();
+}
+
+asm(R"(
+  .text
+  .globl rcc_sim_fiber_switch
+  .hidden rcc_sim_fiber_switch
+  .type rcc_sim_fiber_switch, @function
+  .p2align 4
+rcc_sim_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw 12(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw 12(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size rcc_sim_fiber_switch, .-rcc_sim_fiber_switch
+
+  .globl rcc_sim_fiber_entry
+  .hidden rcc_sim_fiber_entry
+  .type rcc_sim_fiber_entry, @function
+  .p2align 4
+rcc_sim_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size rcc_sim_fiber_entry, .-rcc_sim_fiber_entry
+)");
+#else
+#include <ucontext.h>
 #endif
 
 namespace rcc::sim {
@@ -69,6 +143,99 @@ std::function<void(const std::string&)>& StallObserverSlot() {
   return observer;
 }
 
+// ---------------------------------------------------------------------
+// Fiber context switch.
+// ---------------------------------------------------------------------
+
+#if defined(__x86_64__)
+// A suspended context is just its stack pointer: everything else it
+// needs lives in the frame rcc_sim_fiber_switch pushed on its stack.
+struct FiberContext {
+  void* sp = nullptr;
+};
+
+void SwitchContext(FiberContext* from, FiberContext* to) {
+  rcc_sim_fiber_switch(&from->sp, to->sp);
+}
+
+// Builds the frame rcc_sim_fiber_switch pops on its first switch into
+// the stack [lo, lo + size): zeroed callee-saved registers except
+// r12 = arg and r13 = entry, the creating thread's MXCSR and x87 control
+// word, and rcc_sim_fiber_entry as the return address, placed so the
+// entry's call sees a 16-byte-aligned stack.
+void InitContext(FiberContext* ctx, void* lo, size_t size,
+                 void (*entry)(void*), void* arg) {
+  uint32_t mxcsr = 0;
+  uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  const uintptr_t top =
+      (reinterpret_cast<uintptr_t>(lo) + size) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<uint64_t*>(top - 88);
+  std::memset(frame, 0, 88);
+  frame[1] = mxcsr | (uint64_t{fpu_cw} << 32);
+  frame[4] = reinterpret_cast<uint64_t>(entry);            // r13
+  frame[5] = reinterpret_cast<uint64_t>(arg);              // r12
+  frame[8] = reinterpret_cast<uint64_t>(&rcc_sim_fiber_entry);  // ret
+  ctx->sp = frame;
+}
+#else
+// Other architectures: glibc ucontext (saves the signal mask, so every
+// switch costs an rt_sigprocmask syscall).
+struct FiberContext {
+  ucontext_t uc{};
+};
+
+void SwitchContext(FiberContext* from, FiberContext* to) {
+  swapcontext(&from->uc, &to->uc);
+}
+
+void UcontextEntry(unsigned fn_hi, unsigned fn_lo, unsigned arg_hi,
+                   unsigned arg_lo) {
+  const auto join = [](unsigned hi, unsigned lo) {
+    return static_cast<uintptr_t>((uint64_t{hi} << 32) | lo);
+  };
+  reinterpret_cast<void (*)(void*)>(join(fn_hi, fn_lo))(
+      reinterpret_cast<void*>(join(arg_hi, arg_lo)));
+}
+
+void InitContext(FiberContext* ctx, void* lo, size_t size,
+                 void (*entry)(void*), void* arg) {
+  getcontext(&ctx->uc);
+  ctx->uc.uc_stack.ss_sp = lo;
+  ctx->uc.uc_stack.ss_size = size;
+  ctx->uc.uc_link = nullptr;
+  const uint64_t f = reinterpret_cast<uintptr_t>(entry);
+  const uint64_t a = reinterpret_cast<uintptr_t>(arg);
+  makecontext(&ctx->uc, reinterpret_cast<void (*)()>(&UcontextEntry), 4,
+              static_cast<unsigned>(f >> 32), static_cast<unsigned>(f),
+              static_cast<unsigned>(a >> 32), static_cast<unsigned>(a));
+}
+#endif
+
+// ASan stack-switch annotations (no-ops in other builds). Start before
+// leaving a stack: names the stack being entered and saves the leaving
+// context's fake stack (nullptr when the context never resumes). Finish
+// right after arriving: restores this context's fake stack and reports
+// the bounds of the stack just left.
+inline void AsanStartSwitch(void** fake_stack_save, const void* bottom,
+                            size_t size) {
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#else
+  (void)fake_stack_save, (void)bottom, (void)size;
+#endif
+}
+
+inline void AsanFinishSwitch(void* fake_stack_save, const void** bottom_old,
+                             size_t* size_old) {
+#ifdef RCC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#else
+  (void)fake_stack_save, (void)bottom_old, (void)size_old;
+#endif
+}
+
 }  // namespace
 
 void SetStallHandler(std::function<void(const std::string&)> handler) {
@@ -87,11 +254,12 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   const Seconds* clock = nullptr;
   std::function<void()> fn;
 
-  ucontext_t ctx{};
+  FiberContext ctx;
   void* stack_base = nullptr;  // mmap base (guard page + usable stack)
 #ifdef RCC_TSAN_FIBERS
   void* tsan_fiber = nullptr;
 #endif
+  void* asan_fake_stack = nullptr;  // saved while the fiber is switched out
 
   // All fields below are guarded by the engine mutex, except where a
   // field is only ever touched by the scheduler thread while the task is
@@ -104,7 +272,11 @@ struct FiberTask : std::enable_shared_from_this<FiberTask> {
   double park_timeout = 0.0;  // WaitFor's real-seconds value (ladder rung)
   bool wake_pending = false; // NotifyAll raced the park handshake
   bool woke_by_timeout = false;
+  // Null once the task is retired (or its engine is gone): WaitPoint
+  // entries that outlive the task then skip it.
   FiberEngine* engine = nullptr;
+  // Position in the engine's live-task list, erased on retirement.
+  std::list<std::shared_ptr<FiberTask>>::iterator live_pos;
 };
 
 namespace {
@@ -150,7 +322,7 @@ class ThreadsEngine : public Engine {
 };
 
 // ---------------------------------------------------------------------
-// Fibers backend: a discrete-event scheduler over ucontext fibers.
+// Fibers backend: a discrete-event scheduler over stackful fibers.
 // ---------------------------------------------------------------------
 
 class FiberEngine : public Engine {
@@ -173,7 +345,7 @@ class FiberEngine : public Engine {
     // Detach surviving task structs (stale WaitPoint entries may still
     // hold shared_ptrs to them) and release every stack.
     std::lock_guard<std::mutex> g(mu_);
-    for (auto& t : tasks_) {
+    for (auto& t : live_) {
 #ifdef RCC_TSAN_FIBERS
       if (t->tsan_fiber != nullptr) {
         __tsan_destroy_fiber(t->tsan_fiber);
@@ -196,21 +368,21 @@ class FiberEngine : public Engine {
     t->clock = opts.clock;
     t->fn = std::move(fn);
     AllocStack(t.get());
-    getcontext(&t->ctx);
-    t->ctx.uc_stack.ss_sp = static_cast<char*>(t->stack_base) + PageSize();
-    t->ctx.uc_stack.ss_size = FiberStackBytes();
-    t->ctx.uc_link = nullptr;
-    const uintptr_t p = reinterpret_cast<uintptr_t>(t.get());
-    makecontext(&t->ctx, reinterpret_cast<void (*)()>(&FiberEngine::FiberMain),
-                2, static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffu));
+    void* stack_lo = static_cast<char*>(t->stack_base) + PageSize();
+#ifdef RCC_ASAN_FIBERS
+    // A pooled stack still carries the poisoned redzones of the frames
+    // its previous fiber left behind when it finished.
+    ASAN_UNPOISON_MEMORY_REGION(stack_lo, FiberStackBytes());
+#endif
+    InitContext(&t->ctx, stack_lo, FiberStackBytes(), &FiberEngine::FiberMain,
+                t.get());
 #ifdef RCC_TSAN_FIBERS
     t->tsan_fiber = __tsan_create_fiber(0);
 #endif
     {
       std::lock_guard<std::mutex> g(mu_);
       t->id = next_task_id_++;
-      tasks_.push_back(t);
+      t->live_pos = live_.insert(live_.end(), t);
       t->state = FiberTask::St::kRunnable;
       PushLocked(t.get());
       ProgressLocked();
@@ -423,7 +595,7 @@ class FiberEngine : public Engine {
   // quiescence expiry (WaitFor returns false); false re-checks only.
   bool WakeTimeoutParkedLocked(bool timeout_verdict) {
     bool any = false;
-    for (auto& t : tasks_) {
+    for (auto& t : live_) {
       if (t->state == FiberTask::St::kParked && t->timeout_park) {
         t->woke_by_timeout = timeout_verdict;
         t->state = FiberTask::St::kRunnable;
@@ -434,24 +606,29 @@ class FiberEngine : public Engine {
     return any;
   }
 
-  static void FiberMain(unsigned hi, unsigned lo) {
-    auto* t = reinterpret_cast<FiberTask*>(
-        (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo));
+  static void FiberMain(void* arg) {
+    auto* t = static_cast<FiberTask*>(arg);
+    FiberEngine* e = t->engine;
+    AsanFinishSwitch(nullptr, &e->asan_sched_bottom_, &e->asan_sched_size_);
     t->fn();
     t->fn = nullptr;  // run closure destructors on the fiber, in order
     {
-      std::lock_guard<std::mutex> g(t->engine->mu_);
+      std::lock_guard<std::mutex> g(e->mu_);
       t->state = FiberTask::St::kDone;
     }
-    t->engine->SwitchToScheduler(t);
+    e->SwitchToScheduler(t, /*finished=*/true);
     RCC_CHECK(false) << "resumed a completed fiber";
   }
 
-  void SwitchToScheduler(FiberTask* t) {
+  void SwitchToScheduler(FiberTask* t, bool finished = false) {
 #ifdef RCC_TSAN_FIBERS
     __tsan_switch_to_fiber(sched_tsan_fiber_, 0);
 #endif
-    swapcontext(&t->ctx, &sched_ctx_);
+    AsanStartSwitch(finished ? nullptr : &t->asan_fake_stack,
+                    asan_sched_bottom_, asan_sched_size_);
+    SwitchContext(&t->ctx, &sched_ctx_);
+    AsanFinishSwitch(t->asan_fake_stack, &asan_sched_bottom_,
+                     &asan_sched_size_);
   }
 
   // Runs one fiber until it parks or completes. Requires pump_mu_ held,
@@ -465,7 +642,12 @@ class FiberEngine : public Engine {
 #ifdef RCC_TSAN_FIBERS
     __tsan_switch_to_fiber(t->tsan_fiber, 0);
 #endif
-    swapcontext(&sched_ctx_, &t->ctx);
+    void* sched_fake_stack = nullptr;
+    AsanStartSwitch(&sched_fake_stack,
+                    static_cast<char*>(t->stack_base) + PageSize(),
+                    FiberStackBytes());
+    SwitchContext(&sched_ctx_, &t->ctx);
+    AsanFinishSwitch(sched_fake_stack, nullptr, nullptr);
     tls_current_task = nullptr;
     bool done = false;
     {
@@ -482,6 +664,11 @@ class FiberEngine : public Engine {
           t->tsan_fiber = nullptr;
         }
 #endif
+        // Retire: the task leaves the live list (handles and stale
+        // WaitPoint entries may keep the struct itself alive).
+        t->engine = nullptr;
+        live_.erase(t->live_pos);
+        ++retired_;
         ProgressLocked();
       } else if (t->pending_yield) {
         t->pending_yield = false;
@@ -517,13 +704,14 @@ class FiberEngine : public Engine {
       FiberTask* next = nullptr;
       {
         std::lock_guard<std::mutex> g(mu_);
-        while (!queue_.empty()) {
-          RunEntry e = queue_.top();
+        if (!queue_.empty()) {
+          next = queue_.top().task;
           queue_.pop();
-          if (e.task->state == FiberTask::St::kRunnable) {
-            next = e.task;
-            break;
-          }
+          // A task is pushed once per transition into kRunnable and leaves
+          // that state only here, so no entry outlives its task (retired
+          // tasks may already be freed).
+          RCC_CHECK(next->state == FiberTask::St::kRunnable)
+              << "stale run-queue entry for pid " << next->pid;
         }
         if (next == nullptr) {
           // Run queue drained: quiescence. Expire the WaitFor-parked
@@ -540,7 +728,7 @@ class FiberEngine : public Engine {
           }
           double level = 0.0;
           bool found = false;
-          for (const auto& t : tasks_) {
+          for (const auto& t : live_) {
             if (t->state == FiberTask::St::kParked && t->timeout_park &&
                 t->park_timeout > quiesce_level_ &&
                 (!found || t->park_timeout < level)) {
@@ -550,7 +738,7 @@ class FiberEngine : public Engine {
           }
           if (!found) return;  // all done, or stalled past every rung
           quiesce_level_ = level;
-          for (auto& t : tasks_) {  // task-id order: deterministic
+          for (auto& t : live_) {  // task-id order: deterministic
             if (t->state == FiberTask::St::kParked && t->timeout_park &&
                 t->park_timeout == level) {
               RCC_LOG(kDebug) << "quiescence: expiring pid " << t->pid
@@ -570,27 +758,20 @@ class FiberEngine : public Engine {
 
   std::string StallReport(const char* where) {
     std::lock_guard<std::mutex> g(mu_);
-    int runnable = 0, parked = 0, timeout_parked = 0, done = 0;
-    for (const auto& t : tasks_) {
-      switch (t->state) {
-        case FiberTask::St::kRunnable:
-        case FiberTask::St::kRunning:
-          ++runnable;
-          break;
-        case FiberTask::St::kParked:
-          ++parked;
-          if (t->timeout_park) ++timeout_parked;
-          break;
-        case FiberTask::St::kDone:
-          ++done;
-          break;
+    int runnable = 0, parked = 0, timeout_parked = 0;
+    for (const auto& t : live_) {
+      if (t->state == FiberTask::St::kParked) {
+        ++parked;
+        if (t->timeout_park) ++timeout_parked;
+      } else {
+        ++runnable;
       }
     }
     std::string s = "fiber engine stalled in ";
     s += where;
     s += " (deadlock: the threads backend would hang here): tasks=";
-    s += std::to_string(tasks_.size());
-    s += " done=" + std::to_string(done);
+    s += std::to_string(next_task_id_);
+    s += " done=" + std::to_string(retired_);
     s += " parked=" + std::to_string(parked);
     s += " (timeout=" + std::to_string(timeout_parked) + ")";
     s += " runnable=" + std::to_string(runnable);
@@ -598,7 +779,10 @@ class FiberEngine : public Engine {
   }
 
   std::mutex mu_;  // engine state (tasks, queue, pool)
-  std::vector<std::shared_ptr<FiberTask>> tasks_;
+  // Unfinished tasks in task-id order (spawn appends, retirement erases),
+  // so quiescence expiry and stall reports walk only live tasks.
+  std::list<std::shared_ptr<FiberTask>> live_;
+  uint64_t retired_ = 0;  // finished tasks, already out of live_
   std::priority_queue<RunEntry, std::vector<RunEntry>, std::greater<RunEntry>>
       queue_;
   uint64_t next_seq_ = 0;
@@ -610,10 +794,14 @@ class FiberEngine : public Engine {
   std::vector<void*> all_stacks_;
 
   std::mutex pump_mu_;  // one scheduler pumper at a time
-  ucontext_t sched_ctx_{};
+  FiberContext sched_ctx_;
 #ifdef RCC_TSAN_FIBERS
   void* sched_tsan_fiber_ = nullptr;
 #endif
+  // The pumping thread's stack as ASan last reported it on entry to a
+  // fiber; the fiber switches back to it.
+  const void* asan_sched_bottom_ = nullptr;
+  size_t asan_sched_size_ = 0;
 
   std::mutex join_mu_;  // predicate lock for fiber-context JoinTask
   WaitPoint done_wp_;   // notified on every task completion

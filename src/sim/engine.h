@@ -7,12 +7,30 @@
 //  * kThreads — every task is a real OS thread and a WaitPoint is exactly
 //    a condition variable. This is today's behavior, bit-for-bit: chaos
 //    seeds recorded before the engine existed replay identically.
-//  * kFibers — tasks are cooperative stackful contexts (ucontext) driven
-//    by a discrete-event run queue ordered by (virtual time, pid,
-//    sequence). No OS threads are created: the external caller's thread
-//    pumps the scheduler inside blocking calls (Cluster::Join,
-//    TaskHandle::Join). 10k+ ranks fit in one process, and the whole
-//    simulation is single-threaded, hence deterministic.
+//  * kFibers — tasks are cooperative stackful fibers driven by a
+//    discrete-event run queue ordered by (virtual time, pid, sequence).
+//    No OS threads are created: the external caller's thread pumps the
+//    scheduler inside blocking calls (Cluster::Join, TaskHandle::Join).
+//    10k+ ranks fit in one process, and the whole simulation is
+//    single-threaded, hence deterministic.
+//
+// Fiber switch. On x86-64 a switch is a register-only routine: it saves
+// the callee-saved general registers (rbx, rbp, r12-r15), the stack
+// pointer, the MXCSR and the x87 control word, so each fiber keeps its
+// own floating-point rounding and exception masks. It does not save the
+// signal mask: every fiber runs on the one thread that pumps the
+// scheduler and none changes its mask, so the rt_sigprocmask syscall
+// glibc's swapcontext makes on every switch buys nothing. Other
+// architectures fall back to getcontext/makecontext/swapcontext, chosen
+// at compile time from the target macro. TSan and ASan builds annotate
+// every switch.
+//
+// Task retirement. A finished task leaves the engine's task table at
+// once (its stack goes back to a pool; a TaskHandle or a stale WaitPoint
+// entry may keep the small task struct alive), so quiescence expiry,
+// WakeAllTimeoutParked and the stall report walk only live tasks, in
+// task-id order. The stall report's tasks= and done= still count every
+// task spawned and finished.
 //
 // Real-time waits (WaitFor) have no meaning under fibers; they map onto
 // *quiescence*: when the run queue drains and nothing can make progress,
@@ -25,7 +43,10 @@
 // death-watch grace before a 200us protocol poll before a 2ms kv poll),
 // and any progress restarts that ladder from the bottom. A drained queue
 // with the ladder exhausted is a stall — the deterministic image of a
-// deadlock that would hang the threads backend.
+// deadlock that would hang the threads backend. (A receive enters that
+// death-watch grace only after a watched death; it scans its watch only
+// once the fabric has recorded a death, and again only after a further
+// one — see sim/fabric.h.)
 #pragma once
 
 #include <condition_variable>

@@ -140,6 +140,11 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
     return Status(Code::kNotFound, "recv from unregistered pid");
   }
   Mailbox& mbox = *procs_[self].mbox;
+  // Deaths are permanent, so the watch needs a scan only when the fabric
+  // has recorded a death since the last one; until the first death it is
+  // never scanned at all.
+  size_t deaths_scanned = 0;
+  std::vector<int> dead;  // watched pids found dead, in watch order
   bool watch_armed = false;
   bool watch_expired = false;
   std::chrono::steady_clock::time_point watch_deadline{};  // threads backend
@@ -159,45 +164,46 @@ Status Fabric::Recv(int self, Seconds* now, int src, uint64_t channel,
       *now += cfg_.net.failure_detect_latency;
       return Status::ProcFailed({src}, "peer failed");
     }
-    if (death_watch != nullptr) {
-      std::vector<int> dead;
+    if (death_watch != nullptr && dead_pids_.size() != deaths_scanned) {
+      deaths_scanned = dead_pids_.size();
+      dead.clear();
       for (int pid : *death_watch) {
         if (pid >= 0 && pid < static_cast<int>(procs_.size()) &&
             !procs_[pid].alive) {
           dead.push_back(pid);
         }
       }
-      if (!dead.empty()) {
-        // Grace period: let drainable in-flight chains complete so every
-        // survivor fails in the same logical op (see
-        // NetParams::watch_drain_grace_real_ms). Under threads this is a
-        // real-time deadline; under fibers the grace runs to quiescence
-        // (WaitFor reports timeout exactly when nothing else can run, so
-        // everything drainable has provably drained).
-        if (!watch_armed) {
-          watch_armed = true;
-          if (!OnFiberTask()) {
-            watch_deadline = std::chrono::steady_clock::now() +
-                             std::chrono::microseconds(static_cast<int64_t>(
-                                 cfg_.net.watch_drain_grace_real_ms * 1000));
-          }
-        } else if (watch_expired) {
-          *now += cfg_.net.failure_detect_latency;
-          return Status::ProcFailed(std::move(dead), "watched peer failed");
+    }
+    if (!dead.empty()) {
+      // Grace period: let drainable in-flight chains complete so every
+      // survivor fails in the same logical op (see
+      // NetParams::watch_drain_grace_real_ms). Under threads this is a
+      // real-time deadline; under fibers the grace runs to quiescence
+      // (WaitFor reports timeout exactly when nothing else can run, so
+      // everything drainable has provably drained).
+      if (!watch_armed) {
+        watch_armed = true;
+        if (!OnFiberTask()) {
+          watch_deadline = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(static_cast<int64_t>(
+                               cfg_.net.watch_drain_grace_real_ms * 1000));
         }
-        if (OnFiberTask()) {
-          if (!mbox.wp.WaitFor(lock, 0.0)) watch_expired = true;
-        } else {
-          const double remaining =
-              std::chrono::duration<double>(
-                  watch_deadline - std::chrono::steady_clock::now())
-                  .count();
-          if (remaining <= 0.0 || !mbox.wp.WaitFor(lock, remaining)) {
-            watch_expired = true;
-          }
-        }
-        continue;
+      } else if (watch_expired) {
+        *now += cfg_.net.failure_detect_latency;
+        return Status::ProcFailed(std::move(dead), "watched peer failed");
       }
+      if (OnFiberTask()) {
+        if (!mbox.wp.WaitFor(lock, 0.0)) watch_expired = true;
+      } else {
+        const double remaining =
+            std::chrono::duration<double>(
+                watch_deadline - std::chrono::steady_clock::now())
+                .count();
+        if (remaining <= 0.0 || !mbox.wp.WaitFor(lock, remaining)) {
+          watch_expired = true;
+        }
+      }
+      continue;
     }
     mbox.wp.Wait(lock);
   }

@@ -20,7 +20,10 @@
 //    error).
 //  * A receive may carry a DeathWatch (the Gloo-like layer watches its
 //    whole membership: any member death is context-fatal, like a TCP RST
-//    tearing down the process group).
+//    tearing down the process group). Deaths are permanent, so a receive
+//    scans its watch only once the fabric has recorded a death, and
+//    within one call again only after a further death: a blocked
+//    receive costs O(1), not O(watch), while nobody dies.
 //  * A receive may carry a CancelToken (ULFM revoke: interrupting ranks
 //    blocked inside a broken collective).
 #pragma once

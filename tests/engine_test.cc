@@ -1,11 +1,17 @@
 // Engine-seam coverage: the fabric blocking points (TryRecv, any-source
 // receives, context purges, death-watch and cancel-token wakeups) and the
 // cluster's pending-failure arming, exercised under BOTH scheduler
-// backends; plus fibers-only determinism and scheduling-order tests.
+// backends; plus fibers-only determinism, scheduling-order, per-fiber
+// floating-point state and task-retirement tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -124,6 +130,98 @@ TEST_P(EngineBackends, DeathWatchWakesBlockedReceiver) {
   });
   cluster.Join();
   EXPECT_EQ(failed_pid.load(), 2);
+}
+
+// Under threads the peer only yields the CPU; give the receiver real time
+// to reach its park. Fibers need nothing more: once the peer's yield
+// returns, the receiver has parked.
+void LetReceiverPark() {
+  if (!OnFiberTask()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+}
+
+TEST_P(EngineBackends, DeathOutsideWatchDoesNotFailWatchedRecv) {
+  Cluster cluster(Config());
+  std::vector<int> watch{0, 2};
+  std::atomic<bool> receiver_parked{false};
+  std::atomic<int> code{-1};
+  cluster.Spawn(4, [&](Endpoint& ep) {
+    switch (ep.pid()) {
+      case 0:  // sends only after pid 3 (unwatched) has died
+        while (ep.fabric().IsAlive(3)) YieldTask();
+        LetReceiverPark();
+        ASSERT_TRUE(ep.Send(1, 1, 0, Payload(4)).ok());
+        return;
+      case 1: {
+        receiver_parked = true;
+        Message msg;
+        code = static_cast<int>(
+            ep.Recv(0, 1, 0, &msg, nullptr, &watch).code());
+        return;
+      }
+      case 3:
+        while (!receiver_parked.load()) YieldTask();
+        LetReceiverPark();
+        ep.fabric().Kill(3);
+        return;
+      default:  // pid 2: watched, stays alive
+        return;
+    }
+  });
+  cluster.Join();
+  EXPECT_EQ(code.load(), static_cast<int>(Code::kOk));
+}
+
+TEST_P(EngineBackends, WatchedDeathAfterParkWithNoDeathsIsReported) {
+  Cluster cluster(Config());
+  std::vector<int> watch{2};
+  std::atomic<bool> receiver_parked{false};
+  std::vector<int> failed;
+  cluster.Spawn(3, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      // Parks awaiting pid 0 (alive, silent) while no death is recorded.
+      receiver_parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      if (s.code() == Code::kProcFailed) failed = s.failed_pids();
+      return;
+    }
+    if (ep.pid() == 2) {
+      while (!receiver_parked.load()) YieldTask();
+      LetReceiverPark();
+      ep.fabric().Kill(2);
+    }
+  });
+  cluster.Join();
+  EXPECT_EQ(failed, std::vector<int>{2});
+}
+
+TEST_P(EngineBackends, TwoWatchedDeathsAreReportedInWatchOrder) {
+  Cluster cluster(Config());
+  // Watch order differs from death order: pid 3 dies first.
+  std::vector<int> watch{2, 3};
+  std::atomic<bool> receiver_parked{false};
+  std::vector<int> failed;
+  cluster.Spawn(4, [&](Endpoint& ep) {
+    if (ep.pid() == 1) {
+      receiver_parked = true;
+      Message msg;
+      Status s = ep.Recv(0, 1, 0, &msg, nullptr, &watch);
+      if (s.code() == Code::kProcFailed) failed = s.failed_pids();
+      return;
+    }
+    if (ep.pid() == 2) {
+      while (!receiver_parked.load()) YieldTask();
+      LetReceiverPark();
+      ep.fabric().Kill(3);
+      // The receiver now sees one watched death and waits out the drain
+      // grace; the second death lands inside it and must be rescanned.
+      YieldTask();
+      LetReceiverPark();
+      ep.fabric().Kill(2);
+    }
+  });
+  cluster.Join();
+  EXPECT_EQ(failed, (std::vector<int>{2, 3}));
 }
 
 TEST_P(EngineBackends, CancelTokenWakesBlockedReceiver) {
@@ -320,6 +418,95 @@ TEST(FiberScheduler, ManyCheapRanksComplete) {
   });
   cluster.Join();
   EXPECT_EQ(finished.load(), world);
+}
+
+// 1/10 is inexact in double (SSE on x86-64) and in long double (x87), and
+// round-to-nearest rounds it up in both, so a downward-rounded quotient is
+// strictly smaller. volatile keeps the divisions at run time.
+double OneTenth() {
+  volatile double a = 1.0, b = 10.0;
+  return a / b;
+}
+long double OneTenthLong() {
+  volatile long double a = 1.0L, b = 10.0L;
+  return a / b;
+}
+
+TEST(FiberScheduler, EachFiberKeepsItsOwnFloatingPointControl) {
+  SimConfig cfg;
+  cfg.engine = EngineKind::kFibers;
+  Cluster cluster(cfg);
+  ASSERT_EQ(fegetround(), FE_TONEAREST);
+  const double nearest = OneTenth();
+  const long double nearest_long = OneTenthLong();
+  int mode_0_after_park = -1, mode_1_at_start = -1, mode_1_after_park = -1;
+  bool down_0 = false, down_long_0 = false;
+  bool nearest_1 = false, nearest_long_1 = false;
+  cluster.Spawn(2, [&](Endpoint& ep) {
+    Message msg;
+    if (ep.pid() == 0) {
+      fesetround(FE_DOWNWARD);
+      ASSERT_TRUE(ep.Send(1, 1, 0, Payload(1)).ok());
+      ASSERT_TRUE(ep.Recv(1, 1, 0, &msg).ok());  // pid 1 runs meanwhile
+      mode_0_after_park = fegetround();
+      down_0 = OneTenth() < nearest;
+      down_long_0 = OneTenthLong() < nearest_long;
+      ASSERT_TRUE(ep.Send(1, 1, 1, Payload(1)).ok());
+      return;
+    }
+    ASSERT_TRUE(ep.Recv(0, 1, 0, &msg).ok());
+    mode_1_at_start = fegetround();
+    nearest_1 = OneTenth() == nearest;
+    nearest_long_1 = OneTenthLong() == nearest_long;
+    fesetround(FE_UPWARD);
+    ASSERT_TRUE(ep.Send(0, 1, 0, Payload(1)).ok());
+    ASSERT_TRUE(ep.Recv(0, 1, 1, &msg).ok());  // pid 0 runs meanwhile
+    mode_1_after_park = fegetround();
+  });
+  cluster.Join();
+  EXPECT_EQ(mode_0_after_park, FE_DOWNWARD);
+  EXPECT_TRUE(down_0) << "MXCSR rounding lost across a park";
+  EXPECT_TRUE(down_long_0) << "x87 rounding lost across a park";
+  EXPECT_EQ(mode_1_at_start, FE_TONEAREST);
+  EXPECT_TRUE(nearest_1) << "MXCSR rounding leaked from another fiber";
+  EXPECT_TRUE(nearest_long_1) << "x87 rounding leaked from another fiber";
+  EXPECT_EQ(mode_1_after_park, FE_UPWARD);
+  // The scheduling thread keeps its own mode too.
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+  EXPECT_EQ(OneTenth(), nearest);
+  EXPECT_EQ(OneTenthLong(), nearest_long);
+}
+
+// Death-test child: retires 10k finished tasks, then parks two tasks on
+// a WaitPoint nobody notifies. The stall handler prints the report.
+void StallAfterRetiringTasks() {
+  SetStallHandler([](const std::string& report) {
+    std::fprintf(stderr, "%s\n", report.c_str());
+    std::_Exit(3);
+  });
+  SimConfig cfg;
+  cfg.engine = EngineKind::kFibers;
+  Fabric fabric(cfg);
+  Engine& engine = fabric.engine();
+  for (int i = 0; i < 10000; ++i) {
+    engine.Spawn(TaskOptions{i, nullptr}, [] {}).Join();
+  }
+  std::mutex mu;
+  WaitPoint never;
+  auto park_forever = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) never.Wait(lock);
+  };
+  TaskHandle a = engine.Spawn(TaskOptions{0, nullptr}, park_forever);
+  TaskHandle b = engine.Spawn(TaskOptions{1, nullptr}, park_forever);
+  a.Join();
+  std::_Exit(0);  // not reached: the stall fires first
+}
+
+TEST(FiberSchedulerDeathTest, StallAfterRetiringTasksReportsTotals) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(StallAfterRetiringTasks(), ::testing::ExitedWithCode(3),
+              "tasks=10002 done=10000 parked=2 \\(timeout=0\\) runnable=0");
 }
 
 }  // namespace
