@@ -34,7 +34,6 @@ double RunOnce(bool flight_on) {
   plan.max_physical_floats = 4096;
 
   obs::flight::SetEnabled(flight_on);
-  obs::flight::ResetAll();
   const auto t0 = std::chrono::steady_clock::now();
   {
     sim::Cluster cluster;

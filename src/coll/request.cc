@@ -10,20 +10,21 @@ namespace rcc::coll {
 namespace {
 
 // Queue-wait vs service breakdown and in-flight depth for the request
-// pipeline. Instruments are resolved per algo label (cheap shared-lock
-// lookup after first use); the gauge is global across communicators.
+// pipeline. Instruments are interned per algo label; the gauge is global
+// across communicators.
 void RecordRequestMetrics(const Request::Info& info, sim::Seconds submit,
                           sim::Seconds start, sim::Seconds complete,
                           bool ok) {
-  auto& reg = obs::Registry::Global();
-  const obs::Labels algo{{"algo", info.algo}};
-  reg.GetHistogram("rcc_coll_queue_wait_seconds", algo)
-      ->Observe(start - submit);
-  reg.GetHistogram("rcc_coll_service_seconds", algo)
-      ->Observe(complete - start);
-  reg.GetCounter(ok ? "rcc_coll_ops_total" : "rcc_coll_ops_failed_total",
-                 algo)
-      ->Increment();
+  static obs::LabeledHandles<obs::Histogram> queue_wait(
+      "rcc_coll_queue_wait_seconds", "algo");
+  static obs::LabeledHandles<obs::Histogram> service(
+      "rcc_coll_service_seconds", "algo");
+  static obs::LabeledHandles<obs::Counter> ops("rcc_coll_ops_total", "algo");
+  static obs::LabeledHandles<obs::Counter> failed(
+      "rcc_coll_ops_failed_total", "algo");
+  queue_wait.Get(info.algo)->Observe(start - submit);
+  service.Get(info.algo)->Observe(complete - start);
+  (ok ? ops : failed).Get(info.algo)->Increment();
 }
 
 }  // namespace
@@ -37,7 +38,7 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   st->submit = submit;
   st->start = submit;
   st->complete = submit;
-  obs::Gauge* inflight =
+  static obs::Gauge* const inflight =
       obs::Registry::Global().GetGauge("rcc_coll_inflight");
   inflight->Add(1.0);
   std::shared_ptr<State> pred =
@@ -49,7 +50,7 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   opts.clock = &st->complete;
   st->worker = engine.Spawn(
       opts,
-      [st, inflight, pid, pred = std::move(pred),
+      [st, pid, pred = std::move(pred),
        body = std::move(body)]() mutable {
         if (pred) {
           std::unique_lock<std::mutex> lock(pred->mu);

@@ -491,6 +491,9 @@ class UlfmWorker {
 horovod::RunStats RunUlfmElastic(sim::Cluster& cluster,
                                  const SyntheticPlan& plan,
                                  trace::Recorder* rec) {
+  // Fresh flight rings per simulation: pids restart at 0 in every
+  // cluster, so an abort dump must not mix in earlier runs' events.
+  obs::flight::ResetAll();
   auto ss = std::make_shared<Session>(plan.failures.size());
   ss->plan = plan;
   ss->rec = rec;

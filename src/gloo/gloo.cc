@@ -86,12 +86,15 @@ void Context::BeginOp(const char* algo, double bytes) {
 void Context::Raise(const Status& s) {
   current_phase_ = 0;
   if (s.ok()) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", op_algo_}, {"stack", "gloo"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(ep_->now() - op_start_);
-    reg.GetCounter("rcc_collective_bytes_total", labels)->Add(op_bytes_);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    static obs::LabeledHandles<obs::Histogram> latency(
+        "rcc_collective_latency_seconds", "algo", {{"stack", "gloo"}});
+    static obs::LabeledHandles<obs::Counter> bytes(
+        "rcc_collective_bytes_total", "algo", {{"stack", "gloo"}});
+    static obs::LabeledHandles<obs::Counter> ops(
+        "rcc_collective_ops_total", "algo", {{"stack", "gloo"}});
+    latency.Get(op_algo_)->Observe(ep_->now() - op_start_);
+    bytes.Get(op_algo_)->Add(op_bytes_);
+    ops.Get(op_algo_)->Increment();
     return;
   }
   broken_ = true;

@@ -10,6 +10,7 @@
 #include "common/serial.h"
 #include "gloo/gloo.h"
 #include "nccl/nccl.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -505,6 +506,9 @@ class EhWorker {
 
 RunStats RunElasticHorovod(sim::Cluster& cluster, const SyntheticPlan& plan,
                            trace::Recorder* rec) {
+  // Fresh flight rings per simulation: pids restart at 0 in every
+  // cluster, so a later dump must not mix in earlier runs' events.
+  obs::flight::ResetAll();
   auto ss = std::make_shared<Session>(plan.failures.size());
   ss->plan = plan;
   ss->rec = rec;

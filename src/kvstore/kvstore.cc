@@ -11,16 +11,15 @@ namespace {
 // Per-operation traffic counter (the rendezvous path is O(P) reads per
 // joiner, worth watching at scale).
 void CountOp(const char* op) {
-  obs::Registry::Global()
-      .GetCounter("rcc_kv_ops_total", {{"op", op}})
-      ->Increment();
+  static obs::LabeledHandles<obs::Counter> ops("rcc_kv_ops_total", "op");
+  ops.Get(op)->Increment();
 }
 
 // The store key count, updated wherever the map mutates.
 void SetKeysGauge(size_t n) {
-  obs::Registry::Global()
-      .GetGauge("rcc_kv_keys")
-      ->Set(static_cast<double>(n));
+  static obs::Gauge* const keys =
+      obs::Registry::Global().GetGauge("rcc_kv_keys");
+  keys->Set(static_cast<double>(n));
 }
 
 // Stable 53-bit key fingerprint (FNV-1a, truncated) so blocking waits

@@ -53,13 +53,16 @@ Status Comm::Wait(coll::Request* req) {
   Status s = req->Join();
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", req->info().algo}, {"stack", "mpi"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(req->complete_time() - req->submit_time());
-    reg.GetCounter("rcc_collective_bytes_total", labels)
-        ->Add(req->info().bytes);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    static obs::LabeledHandles<obs::Histogram> latency(
+        "rcc_collective_latency_seconds", "algo", {{"stack", "mpi"}});
+    static obs::LabeledHandles<obs::Counter> bytes(
+        "rcc_collective_bytes_total", "algo", {{"stack", "mpi"}});
+    static obs::LabeledHandles<obs::Counter> ops(
+        "rcc_collective_ops_total", "algo", {{"stack", "mpi"}});
+    const char* algo = req->info().algo;
+    latency.Get(algo)->Observe(req->complete_time() - req->submit_time());
+    bytes.Get(algo)->Add(req->info().bytes);
+    ops.Get(algo)->Increment();
   }
   if (s.code() == Code::kProcFailed) NoteFailedPids(s.failed_pids());
   return s;

@@ -79,13 +79,16 @@ Status Comm::Wait(coll::Request* req) {
   ep_->AdvanceTo(req->complete_time());
   if (s.ok()) {
     service_acc_ += req->complete_time() - req->start_time();
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"algo", req->info().algo}, {"stack", "nccl"}};
-    reg.GetHistogram("rcc_collective_latency_seconds", labels)
-        ->Observe(req->complete_time() - req->submit_time());
-    reg.GetCounter("rcc_collective_bytes_total", labels)
-        ->Add(req->info().bytes);
-    reg.GetCounter("rcc_collective_ops_total", labels)->Increment();
+    static obs::LabeledHandles<obs::Histogram> latency(
+        "rcc_collective_latency_seconds", "algo", {{"stack", "nccl"}});
+    static obs::LabeledHandles<obs::Counter> bytes(
+        "rcc_collective_bytes_total", "algo", {{"stack", "nccl"}});
+    static obs::LabeledHandles<obs::Counter> ops(
+        "rcc_collective_ops_total", "algo", {{"stack", "nccl"}});
+    const char* algo = req->info().algo;
+    latency.Get(algo)->Observe(req->complete_time() - req->submit_time());
+    bytes.Get(algo)->Add(req->info().bytes);
+    ops.Get(algo)->Increment();
   }
   if (!s.ok()) broken_ = true;
   return s;

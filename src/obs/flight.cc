@@ -3,7 +3,8 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -55,15 +56,24 @@ State& GlobalState() {
   return *s;
 }
 
+// Same text as printf("%.17g"): to_chars with an explicit precision
+// follows printf's %g rules, without the locale and format parsing.
 void AppendJsonDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // %.17g prints inf/nan, which JSON forbids; clamp to null.
-  if (buf[0] == 'i' || buf[0] == 'n' || buf[1] == 'i' || buf[1] == 'n') {
+  // inf/nan are not JSON; clamp to null.
+  if (!std::isfinite(v)) {
     out->append("null");
-  } else {
-    out->append(buf);
+    return;
   }
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17)
+                       .ptr);
+}
+
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace
@@ -200,32 +210,32 @@ std::string Ring::ToJson(const std::string& reason) const {
   std::string out;
   out.reserve(96 + events.size() * 80);
   out.append("{\"schema\":\"rcc-flight-v1\",\"pid\":");
-  out.append(std::to_string(pid_));
+  AppendInt(&out, pid_);
   out.append(",\"reason\":\"");
   for (char ch : reason) {
     if (ch == '"' || ch == '\\') out.push_back('\\');
     if (static_cast<unsigned char>(ch) >= 0x20) out.push_back(ch);
   }
   out.append("\",\"ring\":");
-  out.append(std::to_string(slots_));
+  AppendInt(&out, slots_);
   out.append(",\"recorded\":");
-  out.append(std::to_string(recorded()));
+  AppendInt(&out, recorded());
   out.append(",\"dropped\":");
-  out.append(std::to_string(dropped()));
+  AppendInt(&out, dropped());
   out.append(",\"events\":[");
   for (size_t k = 0; k < events.size(); ++k) {
     const Event& e = events[k];
     if (k > 0) out.push_back(',');
     out.append("\n{\"i\":");
-    out.append(std::to_string(e.index));
+    AppendInt(&out, e.index);
     out.append(",\"t\":");
     AppendJsonDouble(&out, e.t);
     out.append(",\"ev\":\"");
     out.append(EvName(e.kind));
     out.append("\",\"a\":");
-    out.append(std::to_string(e.a));
+    AppendInt(&out, e.a);
     out.append(",\"b\":");
-    out.append(std::to_string(e.b));
+    AppendInt(&out, e.b);
     out.append(",\"c\":");
     AppendJsonDouble(&out, e.c);
     out.push_back('}');

@@ -185,8 +185,11 @@ void SetEnabled(bool on);
 // default 4096). Never null, valid for the process lifetime.
 Ring* ForRank(int pid);
 
-// Empties every ring and clears the MTBF failure set. The chaos runner
-// calls this at run start so each run's dumps are self-contained.
+// Empties every ring and clears the MTBF failure set, so rings hold one
+// simulation at a time: pids restart at 0 in every cluster. Called on
+// entry by the figure-path drivers (core::RunUlfmElastic,
+// horovod::RunElasticHorovod) and per schedule by the chaos runner.
+// Only safe while no simulation is running.
 void ResetAll();
 
 // Dump directory: `dir_override` if non-empty, else RCC_FLIGHT_DIR,
@@ -201,7 +204,9 @@ std::vector<std::string> DumpAll(const std::string& reason,
 
 // Worker-abort trigger: dumps all rings, overwriting any previous abort
 // dump (a later abort has strictly more history, so the last dump is
-// the most complete picture). Respects Enabled().
+// the most complete picture). Respects Enabled(). The dump covers the
+// current simulation only when its driver called ResetAll at start;
+// its cost is proportional to the events in the rings.
 void DumpOnAbort();
 
 // Installs a sim stall observer that dumps all rings (reason "stall")

@@ -5,11 +5,13 @@
 //   1. Lock-cheap hot paths. Recording into an instrument is a handful
 //      of relaxed atomics (a CAS-add for the double counters, a
 //      fetch_add for histogram buckets) - no mutex, no allocation.
-//      Looking an instrument up takes a shared lock on the registry map;
-//      instrumented call sites either cache the returned pointer
-//      (instruments are never deallocated while the registry lives) or
-//      tolerate the read-mostly lookup, which only takes the exclusive
-//      lock on first registration.
+//      Looking an instrument up builds its label string and takes a
+//      shared lock on the registry map, so per-op call sites never do
+//      it per op: they intern the pointer instead (instruments are never
+//      deallocated while the registry lives). An unlabeled instrument
+//      is a function-local static pointer; a family whose series differ
+//      in one label's value (per algo, per kvstore op) goes through
+//      LabeledHandles below, which resolves each value once.
 //   2. One registry per process (Registry::Global()), matching how the
 //      simulated cluster runs every rank as a thread of one process:
 //      cross-rank aggregation is free, and benches snapshot/diff the
@@ -25,12 +27,16 @@
 // 64 buckets.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -184,6 +190,74 @@ class Registry {
 
   mutable std::shared_mutex mu_;
   std::map<std::string, Family> families_;
+};
+
+// Interned handles for the series of one registry family that differ
+// only in the value of one label: {fixed..., key=value}. Get(value)
+// resolves the instrument through Registry::Global() the first time
+// `value` is seen and returns the cached pointer after that, so a
+// per-op site pays a scan of the few values seen so far. A series is
+// registered on its first Get, exactly when a direct registry lookup
+// at the same site would register it. The scan is lock-free (entries
+// are published once, never changed); a miss appends under a mutex.
+// Past kCapacity distinct values, lookups go to the registry uncached.
+template <typename T>
+class LabeledHandles {
+  static_assert(std::is_same_v<T, Counter> || std::is_same_v<T, Gauge> ||
+                std::is_same_v<T, Histogram>);
+
+ public:
+  LabeledHandles(std::string name, std::string key, Labels fixed = {})
+      : name_(std::move(name)),
+        key_(std::move(key)),
+        fixed_(std::move(fixed)) {}
+  LabeledHandles(const LabeledHandles&) = delete;
+  LabeledHandles& operator=(const LabeledHandles&) = delete;
+
+  T* Get(std::string_view value) {
+    const int n = size_.load(std::memory_order_acquire);
+    for (int i = 0; i < n; ++i) {
+      if (entries_[i].value == value) return entries_[i].instrument;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    const int m = size_.load(std::memory_order_relaxed);
+    for (int i = n; i < m; ++i) {
+      if (entries_[i].value == value) return entries_[i].instrument;
+    }
+    T* instrument = Resolve(value);
+    if (m < kCapacity) {
+      entries_[m] = {std::string(value), instrument};
+      size_.store(m + 1, std::memory_order_release);
+    }
+    return instrument;
+  }
+
+ private:
+  static constexpr int kCapacity = 16;
+  struct Entry {
+    std::string value;
+    T* instrument = nullptr;
+  };
+
+  T* Resolve(std::string_view value) const {
+    Labels labels = fixed_;
+    labels.emplace_back(key_, std::string(value));
+    Registry& reg = Registry::Global();
+    if constexpr (std::is_same_v<T, Counter>) {
+      return reg.GetCounter(name_, labels);
+    } else if constexpr (std::is_same_v<T, Gauge>) {
+      return reg.GetGauge(name_, labels);
+    } else {
+      return reg.GetHistogram(name_, labels);
+    }
+  }
+
+  const std::string name_;
+  const std::string key_;
+  const Labels fixed_;
+  std::array<Entry, kCapacity> entries_;
+  std::atomic<int> size_{0};
+  std::mutex mu_;
 };
 
 // Serializes labels canonically ("{a=\"x\",b=\"y\"}", empty string for

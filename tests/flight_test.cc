@@ -1,11 +1,12 @@
 // Flight recorder unit tests: seqlock ring semantics (ordering,
-// wraparound, torn-write rejection under concurrency), the JSON dump
-// round-trip through the postmortem parser, and the live-metric feeds
-// (recovery-phase histograms, MTBF estimator).
+// wraparound, torn-write rejection under concurrency), the JSON dump's
+// exact text and its round-trip through the postmortem parser, and the
+// live-metric feeds (recovery-phase histograms, MTBF estimator).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,7 +129,9 @@ TEST(Flight, ForRankReturnsStablePointer) {
 }
 
 // Dump -> parse round-trip through the postmortem reader: every field
-// the recorder wrote must come back bit-identically (%.17g doubles).
+// the recorder wrote must come back bit-identically (%.17g doubles). A
+// round-trip alone would also pass with shortest-form doubles, so the
+// exact dump text is pinned too.
 TEST(Flight, DumpJsonRoundTrip) {
   Ring* ring = ForRank(919);
   ring->Reset();
@@ -157,6 +160,33 @@ TEST(Flight, DumpJsonRoundTrip) {
   EXPECT_DOUBLE_EQ(dump.events[1].c, 0.125);
   EXPECT_EQ(dump.events[2].kind, Ev::kKvWaitBegin);
   EXPECT_EQ(dump.events[2].a, 0x1234567890abcdefLL & ((1LL << 53) - 1));
+
+  // Golden text: doubles print as printf("%.17g") (not shortest
+  // round-trip form), non-finite values as null, integers in full.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Ring golden(/*pid=*/920, /*slots=*/64);
+  golden.Record(Ev::kCollPost, 0.1, kMin, kMax, 1e21);
+  golden.Record(Ev::kCollSvc, std::numeric_limits<double>::denorm_min(), kMax,
+                kMin, -0.0);
+  golden.Record(Ev::kRevoke, kInf, 0, 0, -kInf);
+  golden.Record(Ev::kAgree, std::numeric_limits<double>::quiet_NaN(), 1, 2,
+                1.0);
+  EXPECT_EQ(golden.ToJson("golden"),
+            "{\"schema\":\"rcc-flight-v1\",\"pid\":920,\"reason\":\"golden\","
+            "\"ring\":64,\"recorded\":4,\"dropped\":0,\"events\":["
+            "\n{\"i\":0,\"t\":0.10000000000000001,\"ev\":\"coll_post\","
+            "\"a\":-9223372036854775808,\"b\":9223372036854775807,"
+            "\"c\":1e+21},"
+            "\n{\"i\":1,\"t\":4.9406564584124654e-324,\"ev\":\"coll_svc\","
+            "\"a\":9223372036854775807,\"b\":-9223372036854775808,"
+            "\"c\":-0},"
+            "\n{\"i\":2,\"t\":null,\"ev\":\"revoke\",\"a\":0,\"b\":0,"
+            "\"c\":null},"
+            "\n{\"i\":3,\"t\":null,\"ev\":\"agree\",\"a\":1,\"b\":2,"
+            "\"c\":1}"
+            "\n]}\n");
 }
 
 // DumpAll writes one file per rank with the prefix; the postmortem

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "kvstore/kvstore.h"
+#include "obs/metrics.h"
 #include "sim/fabric.h"
 
 namespace rcc::kv {
@@ -214,6 +216,44 @@ TEST(KvStore, ClearEmptiesStore) {
   EXPECT_EQ(store.size(), 2u);
   store.Clear();
   EXPECT_EQ(store.size(), 0u);
+}
+
+// Every store call counts exactly one rcc_kv_ops_total{op} increment
+// (helpers such as GetString count as the call they wrap), and the key
+// gauge follows the store size.
+TEST(KvStore, EveryCallCountsOneOp) {
+  auto& reg = obs::Registry::Global();
+  const std::map<std::string, int> want{
+      {"set", 2},          {"get", 2},
+      {"wait", 1},         {"wait_entry", 1},
+      {"delete", 1},       {"add_and_get", 2},
+      {"compare_and_swap", 1},
+      {"list_prefix", 1},  {"version_of", 1},
+  };
+  auto value = [&](const std::string& op) {
+    return reg.CounterValue("rcc_kv_ops_total", {{"op", op}});
+  };
+  std::map<std::string, double> before;
+  for (const auto& [op, n] : want) before[op] = value(op);
+
+  Store store;
+  ASSERT_TRUE(store.Set(nullptr, "k", {1}).ok());
+  ASSERT_TRUE(store.SetString(nullptr, "gone", "x").ok());
+  ASSERT_TRUE(store.Get(nullptr, "k").ok());
+  ASSERT_TRUE(store.GetString(nullptr, "k").ok());
+  ASSERT_TRUE(store.Wait(nullptr, "k").ok());
+  ASSERT_TRUE(store.WaitEntry(nullptr, "k").ok());
+  ASSERT_TRUE(store.Delete(nullptr, "gone").ok());
+  ASSERT_TRUE(store.AddAndGet(nullptr, "c", 1).ok());
+  ASSERT_TRUE(store.AddAndGet(nullptr, "c", 2).ok());
+  EXPECT_EQ(reg.GaugeValue("rcc_kv_keys"), 2.0);  // "k" and "c"
+  ASSERT_TRUE(store.CompareAndSwap(nullptr, "cas", 0, {1}).ok());
+  EXPECT_EQ(store.ListPrefix(nullptr, "").size(), 3u);
+  ASSERT_TRUE(store.VersionOf(nullptr, "k").ok());
+
+  for (const auto& [op, n] : want) {
+    EXPECT_EQ(value(op) - before[op], n) << op;
+  }
 }
 
 }  // namespace

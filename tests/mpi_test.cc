@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "mpi/comm.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace rcc::mpi {
@@ -105,6 +108,74 @@ TEST(Comm, CollectiveReportsFailedPeer) {
   });
   cluster.Join();
   EXPECT_EQ(failures_seen.load(), 1);
+}
+
+// The per-op series move by exactly one observation per rank and op:
+// the request pipeline's (queue wait, service, ok/failed) and the mpi
+// stack's (latency, bytes, ops, successful ops only). kOps successful
+// two-rank allreduces, then one that fails on the survivor of a killed
+// peer. The failed-op series registers only at the first failure.
+TEST(Comm, PerOpMetricsCountEveryOp) {
+  constexpr int kOps = 3;
+  constexpr size_t kCount = 8;
+  auto& reg = obs::Registry::Global();
+  const obs::Labels algo{{"algo", "reduce_bcast"}};
+  const obs::Labels mpi_algo{{"algo", "reduce_bcast"}, {"stack", "mpi"}};
+  auto ops = [&] { return reg.CounterValue("rcc_coll_ops_total", algo); };
+  auto failed = [&] {
+    return reg.CounterValue("rcc_coll_ops_failed_total", algo);
+  };
+  auto coll_ops = [&] {
+    return reg.CounterValue("rcc_collective_ops_total", mpi_algo);
+  };
+  auto coll_bytes = [&] {
+    return reg.CounterValue("rcc_collective_bytes_total", mpi_algo);
+  };
+  auto count = [&](const char* name, const obs::Labels& labels) {
+    return reg.HistogramSnapshot(name, labels).count;
+  };
+  const double ops0 = ops(), failed0 = failed(), coll_ops0 = coll_ops(),
+               coll_bytes0 = coll_bytes();
+  const uint64_t wait0 = count("rcc_coll_queue_wait_seconds", algo);
+  const uint64_t svc0 = count("rcc_coll_service_seconds", algo);
+  const uint64_t lat0 = count("rcc_collective_latency_seconds", mpi_algo);
+
+  auto allreduce = [](Comm& comm) {
+    std::vector<float> in(kCount, 1.0f), out(kCount);
+    return comm.Allreduce(in.data(), out.data(), kCount,
+                          AllreduceAlgo::kReduceBcast);
+  };
+  RunWorld(2, [&](Comm& comm, sim::Endpoint&) {
+    for (int i = 0; i < kOps; ++i) ASSERT_TRUE(allreduce(comm).ok());
+  });
+  EXPECT_EQ(ops() - ops0, 2 * kOps);
+  EXPECT_EQ(coll_ops() - coll_ops0, 2 * kOps);
+  EXPECT_EQ(coll_bytes() - coll_bytes0, 2.0 * kOps * kCount * sizeof(float));
+  EXPECT_EQ(reg.PrometheusText().find(
+                "rcc_coll_ops_failed_total{algo=\"reduce_bcast\"}"),
+            std::string::npos);
+
+  sim::Cluster cluster;
+  std::atomic<int> failures{0};
+  RunWorldOn(cluster, 2, [&](Comm& comm, sim::Endpoint& ep) {
+    if (comm.rank() == 1) {
+      ep.fabric().Kill(ep.pid());
+      return;
+    }
+    if (allreduce(comm).code() == Code::kProcFailed) failures++;
+  });
+  cluster.Join();
+  ASSERT_EQ(failures.load(), 1);
+
+  EXPECT_EQ(ops() - ops0, 2 * kOps);
+  EXPECT_EQ(failed() - failed0, 1);
+  EXPECT_EQ(coll_ops() - coll_ops0, 2 * kOps);
+  EXPECT_EQ(coll_bytes() - coll_bytes0, 2.0 * kOps * kCount * sizeof(float));
+  EXPECT_EQ(count("rcc_coll_queue_wait_seconds", algo) - wait0, 2 * kOps + 1);
+  EXPECT_EQ(count("rcc_coll_service_seconds", algo) - svc0, 2 * kOps + 1);
+  EXPECT_EQ(count("rcc_collective_latency_seconds", mpi_algo) - lat0,
+            2 * kOps);
+  EXPECT_EQ(reg.GaugeValue("rcc_coll_inflight"), 0.0);
 }
 
 TEST(Comm, RevokedCommRefusesNewOperations) {

@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "nccl/nccl.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 
 namespace rcc::nccl {
@@ -203,6 +206,85 @@ TEST(Broadcast, DeliversFromRoot) {
     for (float v : buf) ASSERT_EQ(v, 7.5f);
   });
   cluster.Join();
+}
+
+// The per-op series move by exactly one observation per rank and op:
+// the request pipeline's (queue wait, service, ok/failed) and the nccl
+// stack's (latency, bytes, ops, successful ops only). kOps successful
+// two-rank broadcasts, then one whose root died. The failed-op series
+// registers only at the first failure.
+TEST(Metrics, PerOpMetricsCountEveryOp) {
+  constexpr int kOps = 3;
+  constexpr size_t kCount = 16;
+  auto& reg = obs::Registry::Global();
+  const obs::Labels algo{{"algo", "binomial_bcast"}};
+  const obs::Labels nccl_algo{{"algo", "binomial_bcast"}, {"stack", "nccl"}};
+  auto ops = [&] { return reg.CounterValue("rcc_coll_ops_total", algo); };
+  auto failed = [&] {
+    return reg.CounterValue("rcc_coll_ops_failed_total", algo);
+  };
+  auto coll_ops = [&] {
+    return reg.CounterValue("rcc_collective_ops_total", nccl_algo);
+  };
+  auto coll_bytes = [&] {
+    return reg.CounterValue("rcc_collective_bytes_total", nccl_algo);
+  };
+  auto count = [&](const char* name, const obs::Labels& labels) {
+    return reg.HistogramSnapshot(name, labels).count;
+  };
+  const double ops0 = ops(), failed0 = failed(), coll_ops0 = coll_ops(),
+               coll_bytes0 = coll_bytes();
+  const uint64_t wait0 = count("rcc_coll_queue_wait_seconds", algo);
+  const uint64_t svc0 = count("rcc_coll_service_seconds", algo);
+  const uint64_t lat0 = count("rcc_collective_latency_seconds", nccl_algo);
+
+  {
+    sim::Cluster cluster;
+    cluster.Spawn(2, [&](sim::Endpoint& ep) {
+      auto comm = Comm::InitRank(ep, Iota(2), "u0");
+      ASSERT_NE(comm, nullptr);
+      std::vector<float> buf(kCount, 1.0f);
+      for (int i = 0; i < kOps; ++i) {
+        ASSERT_TRUE(comm->Broadcast<float>(buf.data(), kCount, 0).ok());
+      }
+    });
+    cluster.Join();
+  }
+  EXPECT_EQ(ops() - ops0, 2 * kOps);
+  EXPECT_EQ(coll_ops() - coll_ops0, 2 * kOps);
+  EXPECT_EQ(coll_bytes() - coll_bytes0, 2.0 * kOps * kCount * sizeof(float));
+  EXPECT_EQ(reg.PrometheusText().find(
+                "rcc_coll_ops_failed_total{algo=\"binomial_bcast\"}"),
+            std::string::npos);
+
+  {
+    sim::Cluster cluster;
+    std::atomic<int> failures{0};
+    cluster.Spawn(2, [&](sim::Endpoint& ep) {
+      auto comm = Comm::InitRank(ep, Iota(2), "u0");
+      ASSERT_NE(comm, nullptr);
+      if (comm->rank() == 1) {
+        ep.fabric().Kill(ep.pid());
+        return;
+      }
+      std::vector<float> buf(kCount, 0.0f);
+      if (comm->Broadcast<float>(buf.data(), kCount, /*root=*/1).code() ==
+          Code::kProcFailed) {
+        failures++;
+      }
+    });
+    cluster.Join();
+    ASSERT_EQ(failures.load(), 1);
+  }
+  EXPECT_EQ(ops() - ops0, 2 * kOps);
+  EXPECT_EQ(failed() - failed0, 1);
+  EXPECT_EQ(coll_ops() - coll_ops0, 2 * kOps);
+  EXPECT_EQ(coll_bytes() - coll_bytes0, 2.0 * kOps * kCount * sizeof(float));
+  EXPECT_EQ(count("rcc_coll_queue_wait_seconds", algo) - wait0, 2 * kOps + 1);
+  EXPECT_EQ(count("rcc_coll_service_seconds", algo) - svc0, 2 * kOps + 1);
+  EXPECT_EQ(count("rcc_collective_latency_seconds", nccl_algo) - lat0,
+            2 * kOps);
+  EXPECT_EQ(reg.GaugeValue("rcc_coll_inflight"), 0.0);
 }
 
 }  // namespace

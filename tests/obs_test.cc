@@ -146,6 +146,42 @@ TEST(Metrics, ConcurrentRecording) {
   EXPECT_DOUBLE_EQ(s.max, 1e-6 * kIters);
 }
 
+// LabeledHandles under racing first use: more distinct values than the
+// handle caches (the rest resolve through the registry every time), all
+// threads hitting every value. Each value maps to the registry's own
+// instrument, counts land exactly, and a value never asked for is
+// never registered.
+TEST(Metrics, LabeledHandlesInternPerValueAcrossThreads) {
+  auto& reg = Registry::Global();
+  static LabeledHandles<Counter> handles("obs_test_handles_total", "v",
+                                         {{"stack", "x"}});
+  constexpr int kThreads = 8;
+  constexpr int kIters = 2000;
+  constexpr int kValues = 20;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kIters; ++i) {
+        handles.Get(std::to_string((t + i) % kValues))->Increment();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int v = 0; v < kValues; ++v) {
+    const Labels labels{{"stack", "x"}, {"v", std::to_string(v)}};
+    EXPECT_DOUBLE_EQ(reg.CounterValue("obs_test_handles_total", labels),
+                     kThreads * kIters / kValues)
+        << v;
+    EXPECT_EQ(handles.Get(std::to_string(v)),
+              reg.GetCounter("obs_test_handles_total", labels))
+        << v;
+  }
+  EXPECT_EQ(reg.PrometheusText().find("obs_test_handles_total{stack=\"x\","
+                                      "v=\"20\"}"),
+            std::string::npos);
+}
+
 TEST(Metrics, PrometheusTextShape) {
   auto& reg = Registry::Global();
   reg.GetCounter("obs_test_prom_total", {{"algo", "ring"}})->Add(3);

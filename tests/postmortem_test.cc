@@ -1,6 +1,8 @@
 // Cross-rank post-mortem forensics, end to end: the two acceptance
-// scenarios (a deterministic mid-allreduce kill and a planted stall)
-// plus unit coverage of the analysis rules on synthetic dumps.
+// scenarios (a deterministic mid-allreduce kill and a planted stall),
+// back-to-back figure-path runs whose dumps must hold only the last
+// simulation, plus unit coverage of the analysis rules on synthetic
+// dumps.
 //
 // Scenario (a) additionally checks the phase-sum == metric-delta
 // contract: the revoke/agree/shrink/rebuild/replay durations summed
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +29,8 @@
 
 #include "core/elastic_trainer.h"
 #include "core/resilient.h"
+#include "core/ulfm_elastic.h"
+#include "horovod/elastic_horovod.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
@@ -413,6 +418,95 @@ TEST(PostmortemEndToEnd, PolicyDecisionLineMatchesFlightEvent) {
     ss << in.rdbuf();
     EXPECT_NE(ss.str().find(chosen.str()), std::string::npos) << ss.str();
   }
+}
+
+// ---------------------------------------------------------------------
+// Back-to-back figure-path simulations: a dump holds only the last one
+// ---------------------------------------------------------------------
+
+horovod::SyntheticPlan BackToBackPlan() {
+  horovod::SyntheticPlan plan;
+  plan.spec = dnn::NasNetMobileSpec();
+  plan.initial_world = 12;
+  plan.steps_per_epoch = 4;
+  plan.epochs = 2;
+  plan.max_physical_floats = 1024;
+  plan.drop_policy = horovod::DropPolicy::kProcess;
+  return plan;
+}
+
+horovod::SyntheticPlan WithProcessKill(horovod::SyntheticPlan plan) {
+  plan.failures.push_back({/*epoch=*/1, /*step=*/1, /*bucket=*/0,
+                           /*victim_rank=*/3, sim::FailScope::kProcess});
+  return plan;
+}
+
+using Driver = horovod::RunStats (*)(sim::Cluster&,
+                                     const horovod::SyntheticPlan&,
+                                     trace::Recorder*);
+
+void RunOnFibers(Driver driver, const horovod::SyntheticPlan& plan) {
+  sim::SimConfig cfg;
+  cfg.engine = sim::EngineKind::kFibers;
+  sim::Cluster cluster(cfg);
+  driver(cluster, plan, nullptr);
+}
+
+// Dumps every ring into a fresh temp dir and analyzes the dumps. Each
+// ring's event times must not go backwards: a ring that still held an
+// earlier simulation's events would restart near t=0 mid-dump.
+Report DumpAndAnalyze(int max_ranks) {
+  std::string dir = ::testing::TempDir() + "rcc_back_to_back_XXXXXX";
+  EXPECT_NE(::mkdtemp(dir.data()), nullptr);
+  flight::DumpAll("test: back-to-back", dir);
+  std::vector<RankDump> dumps;
+  int nonempty = 0;
+  for (const std::string& p : ListDumpFiles(dir)) {
+    RankDump d;
+    std::string err;
+    EXPECT_TRUE(ParseDumpFile(p, &d, &err)) << p << ": " << err;
+    int backwards = 0;
+    for (size_t i = 1; i < d.events.size(); ++i) {
+      if (d.events[i].t < d.events[i - 1].t) ++backwards;
+    }
+    EXPECT_EQ(backwards, 0) << "pid " << d.pid;
+    if (!d.events.empty()) ++nonempty;
+    dumps.push_back(std::move(d));
+    std::remove(p.c_str());
+  }
+  ::rmdir(dir.c_str());
+  EXPECT_GT(nonempty, 0);
+  EXPECT_LE(nonempty, max_ranks);
+  return Analyze(std::move(dumps));
+}
+
+TEST(PostmortemEndToEnd, BackToBackUlfmRunsDumpOnlyTheLastSimulation) {
+  ASSERT_TRUE(flight::Enabled());
+  const horovod::SyntheticPlan plan = BackToBackPlan();
+  RunOnFibers(core::RunUlfmElastic, plan);
+  RunOnFibers(core::RunUlfmElastic, WithProcessKill(plan));
+
+  Report rep = DumpAndAnalyze(plan.initial_world);
+  ASSERT_EQ(rep.repairs.size(), 1u);
+  EXPECT_GE(rep.repairs.begin()->second.ranks, 1);
+  EXPECT_LE(rep.repairs.begin()->second.ranks, plan.initial_world);
+  EXPECT_EQ(rep.root_cause.kind, "first_failure");
+  EXPECT_EQ(rep.root_cause.rank, 3);
+}
+
+// The Elastic Horovod driver records no ULFM repair phases, so after a
+// ULFM repair run, clean and faulty Horovod runs must leave no repair
+// in the dump: the only one the rings saw belongs to an earlier
+// simulation.
+TEST(PostmortemEndToEnd, BackToBackHorovodRunsDumpOnlyTheLastSimulation) {
+  ASSERT_TRUE(flight::Enabled());
+  const horovod::SyntheticPlan plan = BackToBackPlan();
+  RunOnFibers(core::RunUlfmElastic, WithProcessKill(plan));
+  RunOnFibers(horovod::RunElasticHorovod, plan);
+  RunOnFibers(horovod::RunElasticHorovod, WithProcessKill(plan));
+
+  Report rep = DumpAndAnalyze(plan.initial_world);
+  EXPECT_TRUE(rep.repairs.empty());
 }
 
 }  // namespace
