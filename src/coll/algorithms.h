@@ -53,7 +53,8 @@ Status RingAllreduce(Transport& t, const T* sendbuf, T* recvbuf,
                      size_t count) {
   const int P = t.size();
   const int r = t.rank();
-  std::memcpy(recvbuf, sendbuf, count * sizeof(T));
+  // In place (sendbuf == recvbuf) is allowed; memcpy must not alias.
+  if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
   if (P == 1 || count == 0) return Status::Ok();
 
   const int right = (r + 1) % P;

@@ -129,7 +129,9 @@ Status FabricChannel::SendTo(int dst_rank, int tag, const void* data,
   msg.depart = *now_;
   msg.cost_bytes = static_cast<double>(bytes) * cost_scale_;
   msg.payload.resize(bytes);
-  std::memcpy(msg.payload.data(), data, bytes);
+  // Zero-size ring chunks (count < P) send empty payloads, whose data
+  // pointer may be null: memcpy must not see it.
+  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
   return fabric_->Send(std::move(msg));
 }
 
@@ -156,7 +158,7 @@ Status FabricChannel::RecvFrom(int src_rank, int tag, void* data,
   if (msg.payload.size() != bytes) {
     return Status(Code::kInvalid, "payload size mismatch");
   }
-  std::memcpy(data, msg.payload.data(), bytes);
+  if (bytes > 0) std::memcpy(data, msg.payload.data(), bytes);
   return Status::Ok();
 }
 

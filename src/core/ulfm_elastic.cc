@@ -349,22 +349,40 @@ class UlfmWorker {
   // communication derived from them. Comm service comes from the
   // resilient comm's own accumulator so host-side traffic from other
   // phases never pollutes the comm-hidden fraction.
+  // The instruments are resolved once, on the first step (in this
+  // order, as the string-keyed lookups they replace registered them).
   void RecordStepMetrics(double wall) {
-    auto& reg = obs::Registry::Global();
-    const obs::Labels labels{{"stack", "ulfm"}};
+    struct Instruments {
+      obs::Counter* steps;
+      obs::Counter* seconds;
+      obs::Counter* compute;
+      obs::Counter* service;
+      obs::Counter* exposed;
+      obs::Histogram* step_seconds;
+      obs::Gauge* world_size;
+    };
+    static const Instruments m = [] {
+      auto& reg = obs::Registry::Global();
+      const obs::Labels labels{{"stack", "ulfm"}};
+      return Instruments{
+          reg.GetCounter("rcc_steps_total", labels),
+          reg.GetCounter("rcc_step_seconds_total", labels),
+          reg.GetCounter("rcc_step_compute_seconds_total", labels),
+          reg.GetCounter("rcc_step_comm_service_seconds_total", labels),
+          reg.GetCounter("rcc_step_comm_exposed_seconds_total", labels),
+          reg.GetHistogram("rcc_step_seconds", labels),
+          reg.GetGauge("rcc_world_size", labels)};
+    }();
     const double compute = ss_->step_compute_seconds;
     const double service = rc_->TakeCommServiceSeconds();
     const double exposed = wall > compute ? wall - compute : 0.0;
-    reg.GetCounter("rcc_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_step_seconds_total", labels)->Add(wall);
-    reg.GetCounter("rcc_step_compute_seconds_total", labels)->Add(compute);
-    reg.GetCounter("rcc_step_comm_service_seconds_total", labels)
-        ->Add(service);
-    reg.GetCounter("rcc_step_comm_exposed_seconds_total", labels)
-        ->Add(exposed);
-    reg.GetHistogram("rcc_step_seconds", labels)->Observe(wall);
-    reg.GetGauge("rcc_world_size", labels)
-        ->Set(static_cast<double>(rc_->size()));
+    m.steps->Increment();
+    m.seconds->Add(wall);
+    m.compute->Add(compute);
+    m.service->Add(service);
+    m.exposed->Add(exposed);
+    m.step_seconds->Observe(wall);
+    m.world_size->Set(static_cast<double>(rc_->size()));
     if (ss_->rec != nullptr) {
       ss_->rec->RecordCounter(ep_.pid(), "world_size", ep_.now(),
                               static_cast<double>(rc_->size()));
@@ -494,6 +512,9 @@ horovod::RunStats RunUlfmElastic(sim::Cluster& cluster,
   // Fresh flight rings per simulation: pids restart at 0 in every
   // cluster, so an abort dump must not mix in earlier runs' events.
   obs::flight::ResetAll();
+  // No scripted failure means nobody dies: ring allreduces may then
+  // complete at a rendezvous (coll/ring_rendezvous.h).
+  if (plan.failures.empty()) cluster.fabric().DeclareFailureFree();
   auto ss = std::make_shared<Session>(plan.failures.size());
   ss->plan = plan;
   ss->rec = rec;

@@ -12,6 +12,8 @@
 // rank's clock. The blocking calls are thin Start + Wait wrappers, so
 // their virtual-time behaviour is identical to the old inline kernels.
 // Ops on one communicator execute in submission order (engine chaining).
+// Ring allreduces on a failure-free fibers fabric complete at a
+// rendezvous instead of over messages (coll/ring_rendezvous.h).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 
 #include "coll/algorithms.h"
 #include "coll/request.h"
+#include "coll/ring_rendezvous.h"
 #include "coll/transport.h"
 #include "coll/tuning.h"
 #include "common/status.h"
@@ -101,8 +104,18 @@ class Comm : public coll::Transport {
     auto* ep = ep_;
     const int rank = rank_;
     const double cs = cost_scale_;
-    return StartOp(info, [group, ep, rank, cs, channel, chosen, sendbuf,
-                          recvbuf, count](sim::Seconds* now) -> Status {
+    // Decided from shared state only, so every member agrees.
+    const bool rendezvous = coll::UseRingRendezvous(ep_->fabric(), chosen);
+    const uint64_t key = coll::RingRendezvous::Key(
+        coll::RingRendezvous::Stack::kMpi, coll_seq_);
+    return StartOp(info, [group, ep, rank, cs, channel, chosen, rendezvous,
+                          key, sendbuf, recvbuf,
+                          count](sim::Seconds* now) -> Status {
+      if (rendezvous) {
+        return group->ring_rendezvous.Allreduce<T>(
+            key, *ep, static_cast<int>(group->pids.size()), rank, cs,
+            sendbuf, recvbuf, count, now);
+      }
       coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
                              &group->revoke, /*death_watch=*/nullptr);
       return coll::RunAllreduce<T>(chosen, ch, sendbuf, recvbuf, count);

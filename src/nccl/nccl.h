@@ -11,6 +11,9 @@
 // permanently breaks the communicator; rebuilding requires a fresh
 // InitRank, whose cost (bootstrap + topology discovery + ring build)
 // grows with the rank count.
+//
+// Ring allreduces on a failure-free fibers fabric complete at a
+// rendezvous instead of over messages (coll/ring_rendezvous.h).
 #pragma once
 
 #include <cstring>
@@ -20,6 +23,7 @@
 
 #include "coll/algorithms.h"
 #include "coll/request.h"
+#include "coll/ring_rendezvous.h"
 #include "coll/transport.h"
 #include "coll/tuning.h"
 #include "mpi/group.h"
@@ -83,8 +87,18 @@ class Comm : public coll::Transport {
     auto* ep = ep_;
     const int rank = rank_;
     const double cs = cost_scale_;
-    return StartOp(info, [group, watch, ep, rank, cs, channel, chosen, sendbuf,
-                          recvbuf, count](sim::Seconds* now) -> Status {
+    // Decided from shared state only, so every member agrees.
+    const bool rendezvous = coll::UseRingRendezvous(ep_->fabric(), chosen);
+    const uint64_t key = coll::RingRendezvous::Key(
+        coll::RingRendezvous::Stack::kNccl, op_seq_);
+    return StartOp(info, [group, watch, ep, rank, cs, channel, chosen,
+                          rendezvous, key, sendbuf, recvbuf,
+                          count](sim::Seconds* now) -> Status {
+      if (rendezvous) {
+        return group->ring_rendezvous.Allreduce<T>(
+            key, *ep, static_cast<int>(group->pids.size()), rank, cs,
+            sendbuf, recvbuf, count, now);
+      }
       // Async error handling: any member death is communicator-fatal.
       coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
                              /*cancel=*/nullptr,

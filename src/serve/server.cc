@@ -179,16 +179,21 @@ ServeReport ServingDriver::Loop() {
     std::vector<double> ttft = batcher_.TakeFirstTokenLatencies();
     if (rc_->rank() == 0) {
       ExportStepMetrics(step_seconds, batch, recovery);
-      obs::Registry& reg = obs::Registry::Global();
-      const obs::Labels labels{{"mode", ModeName(opts_.mode)}};
-      obs::Histogram* h = reg.GetHistogram("rcc_serve_ttft_seconds", labels);
+      static obs::LabeledHandles<obs::Histogram> ttft_seconds(
+          "rcc_serve_ttft_seconds", "mode");
+      static obs::LabeledHandles<obs::Counter> completions(
+          "rcc_serve_completions_total", "mode");
+      static obs::LabeledHandles<obs::Counter> replays(
+          "rcc_serve_decode_replays_total", "mode");
+      const char* mode = ModeName(opts_.mode);
+      obs::Histogram* h = ttft_seconds.Get(mode);
       for (double v : ttft) h->Observe(v);
       const size_t done = batcher_.completions().size();
-      reg.GetCounter("rcc_serve_completions_total", labels)
-          ->Add(static_cast<double>(done - exported_completions));
+      completions.Get(mode)->Add(
+          static_cast<double>(done - exported_completions));
       exported_completions = done;
-      reg.GetCounter("rcc_serve_decode_replays_total", labels)
-          ->Add(static_cast<double>(decode_replays_ - exported_replays));
+      replays.Get(mode)->Add(
+          static_cast<double>(decode_replays_ - exported_replays));
       exported_replays = decode_replays_;
     } else {
       // Keep the export cursors current so a later rank-0 handover only
@@ -288,25 +293,40 @@ void ServingDriver::ReleaseStandbys() {
 
 void ServingDriver::ExportStepMetrics(double step_seconds, int committed_tokens,
                                       bool recovery_step) {
-  obs::Registry& reg = obs::Registry::Global();
-  const obs::Labels labels{{"mode", ModeName(opts_.mode)}};
-  obs::Histogram* tok = reg.GetHistogram("rcc_serve_token_seconds", labels);
+  // Interned per mode label; a series still registers on its first use
+  // (the recovery ones only after the first recovery step).
+  static obs::LabeledHandles<obs::Histogram> token_seconds(
+      "rcc_serve_token_seconds", "mode");
+  static obs::LabeledHandles<obs::Counter> tokens("rcc_serve_tokens_total",
+                                                  "mode");
+  static obs::LabeledHandles<obs::Gauge> queue_depth("rcc_serve_queue_depth",
+                                                     "mode");
+  static obs::LabeledHandles<obs::Gauge> world_size("rcc_serve_world_size",
+                                                    "mode");
+  static obs::LabeledHandles<obs::Gauge> goodput_now(
+      "rcc_serve_goodput_tokens_per_s", "mode");
+  static obs::LabeledHandles<obs::Counter> recovery_steps(
+      "rcc_serve_recovery_steps_total", "mode");
+  static obs::LabeledHandles<obs::Counter> recovery_seconds(
+      "rcc_serve_recovery_seconds_total", "mode");
+  static obs::LabeledHandles<obs::Counter> recovery_tokens(
+      "rcc_serve_recovery_tokens_total", "mode");
+  static obs::LabeledHandles<obs::Gauge> recovery_goodput(
+      "rcc_serve_goodput_during_recovery_tokens_per_s", "mode");
+  const char* mode = ModeName(opts_.mode);
+  obs::Histogram* tok = token_seconds.Get(mode);
   for (int i = 0; i < committed_tokens; ++i) tok->Observe(step_seconds);
-  reg.GetCounter("rcc_serve_tokens_total", labels)
-      ->Add(static_cast<double>(committed_tokens));
-  reg.GetGauge("rcc_serve_queue_depth", labels)->Set(batcher_.waiting());
-  reg.GetGauge("rcc_serve_world_size", labels)->Set(rc_->size());
+  tokens.Get(mode)->Add(static_cast<double>(committed_tokens));
+  queue_depth.Get(mode)->Set(batcher_.waiting());
+  world_size.Get(mode)->Set(rc_->size());
   const double goodput =
       step_seconds > 0 ? committed_tokens / step_seconds : 0.0;
-  reg.GetGauge("rcc_serve_goodput_tokens_per_s", labels)->Set(goodput);
+  goodput_now.Get(mode)->Set(goodput);
   if (recovery_step) {
-    reg.GetCounter("rcc_serve_recovery_steps_total", labels)->Increment();
-    reg.GetCounter("rcc_serve_recovery_seconds_total", labels)
-        ->Add(step_seconds);
-    reg.GetCounter("rcc_serve_recovery_tokens_total", labels)
-        ->Add(static_cast<double>(committed_tokens));
-    reg.GetGauge("rcc_serve_goodput_during_recovery_tokens_per_s", labels)
-        ->Set(goodput);
+    recovery_steps.Get(mode)->Increment();
+    recovery_seconds.Get(mode)->Add(step_seconds);
+    recovery_tokens.Get(mode)->Add(static_cast<double>(committed_tokens));
+    recovery_goodput.Get(mode)->Set(goodput);
   }
 }
 

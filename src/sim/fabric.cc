@@ -35,6 +35,8 @@ void Fabric::MarkDead(int pid) {
 }
 
 void Fabric::Kill(int pid) {
+  RCC_CHECK(!failure_free()) << "Kill(pid " << pid << ") on fabric " << id_
+                             << ", which was declared failure-free";
   std::lock_guard<std::mutex> lock(mu_);
   if (pid < 0 || pid >= static_cast<int>(procs_.size())) return;
   if (!procs_[pid].alive) return;
@@ -48,6 +50,14 @@ void Fabric::Kill(int pid) {
 
 void Fabric::KillNode(int node) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (failure_free() && node >= 0 &&
+      node < static_cast<int>(node_pids_.size())) {
+    for (int pid : node_pids_[node]) {
+      RCC_CHECK(!procs_[pid].alive)
+          << "KillNode(" << node << ") would kill pid " << pid
+          << " on fabric " << id_ << ", which was declared failure-free";
+    }
+  }
   bool any = false;
   if (node >= 0 && node < static_cast<int>(node_pids_.size())) {
     for (int pid : node_pids_[node]) {
@@ -81,18 +91,14 @@ std::vector<int> Fabric::AlivePids() const {
   return alive_pids_;
 }
 
+uint64_t Fabric::MessagesSent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return messages_sent_;
+}
+
 std::vector<int> Fabric::DeadPids() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dead_pids_;
-}
-
-Seconds Fabric::ArrivalTime(const Message& msg, int dst_node) const {
-  const int src_node = procs_[msg.src].node;
-  const NetParams& net = cfg_.net;
-  const bool local = (src_node == dst_node);
-  const Seconds latency = local ? net.intra_latency : net.inter_latency;
-  const double bandwidth = local ? net.intra_bandwidth : net.inter_bandwidth;
-  return msg.depart + latency + msg.cost_bytes / bandwidth;
 }
 
 Status Fabric::Send(Message msg) {
@@ -104,6 +110,7 @@ Status Fabric::Send(Message msg) {
     return Status(Code::kNotFound, "send to unregistered pid");
   }
   if (!procs_[msg.src].alive) return Status(Code::kAborted, "sender is dead");
+  ++messages_sent_;
   Proc& dst = procs_[msg.dst];
   if (!dst.alive) {
     // Eagerly buffered transports drop traffic to dead peers; the sender

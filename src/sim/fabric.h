@@ -26,6 +26,11 @@
 //    receive costs O(1), not O(watch), while nobody dies.
 //  * A receive may carry a CancelToken (ULFM revoke: interrupting ranks
 //    blocked inside a broken collective).
+//  * A driver that knows no process will die (core::RunUlfmElastic with
+//    an empty failure plan) may declare the fabric failure-free. Kill and
+//    KillNode then fail a check naming the pid, and collectives may
+//    complete at a rendezvous instead of exchanging messages (see
+//    coll/ring_rendezvous.h).
 #pragma once
 
 #include <atomic>
@@ -98,6 +103,21 @@ class Fabric {
 
   void Kill(int pid);
   void KillNode(int node);
+
+  // Declares that no process of this fabric will ever die; permanent.
+  // Call it before the ranks start. Afterwards Kill and KillNode (and
+  // so an endpoint's armed self-kill firing) abort the process.
+  void DeclareFailureFree() {
+    failure_free_.store(true, std::memory_order_release);
+  }
+  bool failure_free() const {
+    return failure_free_.load(std::memory_order_acquire);
+  }
+
+  // Messages accepted by Send so far (dropped ones to dead peers
+  // included).
+  uint64_t MessagesSent() const;
+
   bool IsAlive(int pid) const;
   int NodeOf(int pid) const;
 
@@ -149,8 +169,11 @@ class Fabric {
     std::unique_ptr<Mailbox> mbox;
   };
 
-  // Returns arrival time of msg at dst given link parameters.
-  Seconds ArrivalTime(const Message& msg, int dst_node) const;
+  // Arrival time of msg at a receiver on dst_node (sim::ArrivalTime).
+  Seconds ArrivalTime(const Message& msg, int dst_node) const {
+    return sim::ArrivalTime(cfg_.net, msg.depart, msg.cost_bytes,
+                            procs_[msg.src].node == dst_node);
+  }
 
   bool FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
                  Message* out);  // requires mu_ held
@@ -168,6 +191,8 @@ class Fabric {
   std::vector<std::vector<int>> node_pids_;    // node -> pids; guarded by mu_
   std::atomic<int> proc_count_{0};
   std::atomic<int> alive_count_{0};
+  uint64_t messages_sent_ = 0;                 // guarded by mu_
+  std::atomic<bool> failure_free_{false};
   SimConfig cfg_;
   uint64_t id_;
   std::unique_ptr<Engine> engine_;

@@ -48,6 +48,20 @@ struct NetParams {
   double watch_drain_grace_real_ms = 50.0;
 };
 
+// LogGP arrival time of a message at its receiver: departure plus the
+// link's latency plus the modeled bytes over its bandwidth, with the
+// intra-node (NVLink-class) or inter-node link picked by placement. The
+// one wire-time formula: Fabric::Recv prices every message with it, and
+// the collective-granularity ring model (coll/ring_rendezvous.h) prices
+// its virtual messages with it, so both agree to the last bit.
+inline Seconds ArrivalTime(const NetParams& net, Seconds depart,
+                           double cost_bytes, bool same_node) {
+  const Seconds latency = same_node ? net.intra_latency : net.inter_latency;
+  const double bandwidth =
+      same_node ? net.intra_bandwidth : net.inter_bandwidth;
+  return depart + latency + cost_bytes / bandwidth;
+}
+
 // Software-path cost constants for the two stacks' recovery paths.
 struct RuntimeCosts {
   // --- shared ---
