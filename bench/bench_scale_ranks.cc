@@ -5,9 +5,9 @@
 // sizes where thousands of OS threads are not required; the fibers
 // backend covers the full ladder — the point of the engine layer is
 // that thousands of cooperative ranks fit in one process on one core.
-// The plan scripts no failure, so under fibers the ring allreduces
-// complete at a rendezvous (coll/ring_rendezvous.h) rather than as
-// 2(P-1) messages per rank.
+// The plan scripts no failure, so under fibers the collectives complete
+// at a rendezvous (coll/rendezvous.h) rather than as 2(P-1) messages
+// per rank and ring allreduce.
 //
 // Each configuration runs in a forked child (re-exec of this binary
 // with `--one <engine> <ranks>`) so peak RSS is per-run rather than the

@@ -159,8 +159,9 @@ Status RecursiveDoublingAllreduce(Transport& t, const T* sendbuf, T* recvbuf,
                                   size_t count) {
   const int P = t.size();
   const int r = t.rank();
+  if (count == 0) return Status::Ok();  // (empty buffers may be null)
   std::memcpy(recvbuf, sendbuf, count * sizeof(T));
-  if (P == 1 || count == 0) return Status::Ok();
+  if (P == 1) return Status::Ok();
 
   const int pof2 = detail::LargestPowerOfTwoAtMost(P);
   const int rem = P - pof2;
@@ -322,8 +323,9 @@ Status BinomialReduce(Transport& t, const T* sendbuf, T* recvbuf,
                       size_t count, int root) {
   const int P = t.size();
   const int r = t.rank();
+  if (count == 0) return Status::Ok();  // (empty buffers may be null)
   std::memcpy(recvbuf, sendbuf, count * sizeof(T));
-  if (P == 1 || count == 0) return Status::Ok();
+  if (P == 1) return Status::Ok();
   const size_t bytes = count * sizeof(T);
   const int relative = (r - root + P) % P;
   std::vector<T> tmp(count);
@@ -364,9 +366,10 @@ Status RingAllgather(Transport& t, const T* sendbuf, T* recvbuf,
                      size_t count) {
   const int P = t.size();
   const int r = t.rank();
+  if (count == 0) return Status::Ok();  // (empty buffers may be null)
   std::memcpy(recvbuf + static_cast<size_t>(r) * count, sendbuf,
               count * sizeof(T));
-  if (P == 1 || count == 0) return Status::Ok();
+  if (P == 1) return Status::Ok();
   const int right = (r + 1) % P;
   const int left = (r - 1 + P) % P;
   for (int s = 0; s < P - 1; ++s) {

@@ -27,7 +27,33 @@ void RecordRequestMetrics(const Request::Info& info, sim::Seconds submit,
   (ok ? ops : failed).Get(info.algo)->Increment();
 }
 
+obs::Gauge* InflightGauge() {
+  static obs::Gauge* const inflight =
+      obs::Registry::Global().GetGauge("rcc_coll_inflight");
+  return inflight;
+}
+
 }  // namespace
+
+void Request::Begin() { InflightGauge()->Add(1.0); }
+
+void Request::Finish(State* st, int pid, Status s) {
+  RecordRequestMetrics(st->info, st->submit, st->start, st->complete, s.ok());
+  if (obs::flight::Enabled()) {
+    obs::flight::ForRank(pid)->Record(
+        obs::flight::Ev::kCollSvc, st->complete,
+        static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
+        st->complete - st->start);
+  }
+  InflightGauge()->Add(-1.0);
+  {
+    std::lock_guard<std::mutex> lock(st->mu);
+    st->status = std::move(s);
+    st->done = true;
+  }
+  st->done_flag.store(true, std::memory_order_release);
+  st->wp.NotifyAll();
+}
 
 Request Request::Start(Info info, sim::Seconds submit, Body body,
                        sim::Engine& engine, int pid, const Request* after) {
@@ -38,9 +64,7 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
   st->submit = submit;
   st->start = submit;
   st->complete = submit;
-  static obs::Gauge* const inflight =
-      obs::Registry::Global().GetGauge("rcc_coll_inflight");
-  inflight->Add(1.0);
+  Begin();
   std::shared_ptr<State> pred =
       (after != nullptr) ? after->state_ : nullptr;
   sim::TaskOptions opts;
@@ -61,23 +85,7 @@ Request Request::Start(Info info, sim::Seconds submit, Body body,
         }
         pred.reset();
         st->start = st->complete;
-        Status s = body(&st->complete);
-        RecordRequestMetrics(st->info, st->submit, st->start, st->complete,
-                             s.ok());
-        if (obs::flight::Enabled()) {
-          obs::flight::ForRank(pid)->Record(
-              obs::flight::Ev::kCollSvc, st->complete,
-              static_cast<int64_t>(st->info.op_id), s.ok() ? 1 : 0,
-              st->complete - st->start);
-        }
-        inflight->Add(-1.0);
-        {
-          std::lock_guard<std::mutex> lock(st->mu);
-          st->status = std::move(s);
-          st->done = true;
-        }
-        st->done_flag.store(true, std::memory_order_release);
-        st->wp.NotifyAll();
+        Finish(st, pid, body(&st->complete));
       });
   return req;
 }

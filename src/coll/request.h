@@ -59,6 +59,31 @@ class Request {
   // a revoked or aborted communicator).
   static Request Failed(Info info, sim::Seconds submit, Status status);
 
+  // Submits an op of `ep`'s rank on a communicator whose ops chain
+  // through *tail, and makes it the new *tail. With `may_inline` and
+  // *tail idle by the rank's clock, the body runs on the calling task
+  // with the rank's clock as the op clock (the op starts at it either
+  // way), and the request returns completed; else it starts as an op
+  // task chained after *tail. Metrics and the flight event are the same
+  // on both paths.
+  template <typename F>
+  static Request Submit(Info info, sim::Endpoint& ep, Request* tail,
+                        bool may_inline, F&& body) {
+    if (may_inline && tail->IdleBy(ep.now())) {
+      *tail = RunInline(info, ep.mutable_clock(), ep.pid(), body);
+    } else {
+      *tail = Start(info, ep.now(), Body(std::forward<F>(body)),
+                    ep.fabric().engine(), ep.pid(), tail);
+    }
+    return *tail;
+  }
+
+  // True when no op of this chain is pending, or the last one completed
+  // by `t`: an op submitted at `t` then starts at `t`.
+  bool IdleBy(sim::Seconds t) const {
+    return !active() || (Test() && complete_time() <= t);
+  }
+
   bool active() const { return state_ != nullptr; }
   const Info& info() const { return state_->info; }
   sim::Seconds submit_time() const { return state_->submit; }
@@ -97,6 +122,26 @@ class Request {
       if (worker.joinable()) worker.Join();
     }
   };
+
+  // Runs the body on the calling task with `clock` as the op clock.
+  template <typename F>
+  static Request RunInline(Info info, sim::Seconds* clock, int pid, F& body) {
+    Request req;
+    req.state_ = std::make_shared<State>();
+    State* st = req.state_.get();
+    st->info = info;
+    st->submit = st->start = *clock;
+    Begin();
+    Status s = body(clock);
+    st->complete = *clock;
+    Finish(st, pid, std::move(s));
+    return req;
+  }
+
+  // Shared by Start and RunInline: the in-flight gauge, then the request
+  // metrics, the flight event and the completion of `st`.
+  static void Begin();
+  static void Finish(State* st, int pid, Status s);
 
   std::shared_ptr<State> state_;
 };

@@ -512,9 +512,13 @@ horovod::RunStats RunUlfmElastic(sim::Cluster& cluster,
   // Fresh flight rings per simulation: pids restart at 0 in every
   // cluster, so an abort dump must not mix in earlier runs' events.
   obs::flight::ResetAll();
-  // No scripted failure means nobody dies: ring allreduces may then
-  // complete at a rendezvous (coll/ring_rendezvous.h).
-  if (plan.failures.empty()) cluster.fabric().DeclareFailureFree();
+  // No scripted failure means nobody dies: fixed-schedule collectives
+  // may then complete at a rendezvous (coll/rendezvous.h). A plan with
+  // failures kills node-mates at program points (KillNode), which a
+  // rendezvous cannot replay, so it stays undeclared.
+  if (plan.failures.empty()) {
+    cluster.fabric().DeclareKillModel(sim::Fabric::KillModel::kNone);
+  }
   auto ss = std::make_shared<Session>(plan.failures.size());
   ss->plan = plan;
   ss->rec = rec;

@@ -9,11 +9,14 @@
 // Allreduce and Bcast are request-based: IAllreduce/IBcast submit the op
 // to a background worker (its own virtual clock over the fabric) and
 // return a coll::Request; Wait merges the op's completion time into the
-// rank's clock. The blocking calls are thin Start + Wait wrappers, so
-// their virtual-time behaviour is identical to the old inline kernels.
+// rank's clock. The blocking calls are Start + Wait wrappers; on a fabric
+// that declared its kill model (fibers engine), a blocking call whose
+// rank has nothing in flight runs its body on the rank's own task
+// instead (Request::RunInline), with the same virtual-time behaviour.
 // Ops on one communicator execute in submission order (engine chaining).
-// Ring allreduces on a failure-free fibers fabric complete at a
-// rendezvous instead of over messages (coll/ring_rendezvous.h).
+// Fixed-schedule collectives on such a fabric go to the group's
+// rendezvous table and may complete without messages
+// (coll/rendezvous.h).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,7 @@
 
 #include "coll/algorithms.h"
 #include "coll/request.h"
-#include "coll/ring_rendezvous.h"
+#include "coll/rendezvous.h"
 #include "coll/transport.h"
 #include "coll/tuning.h"
 #include "common/status.h"
@@ -86,64 +89,12 @@ class Comm : public coll::Transport {
   template <typename T>
   coll::Request IAllreduce(const T* sendbuf, T* recvbuf, size_t count,
                            AllreduceAlgo algo = AllreduceAlgo::kAuto) {
-    const double modeled_bytes =
-        static_cast<double>(count * sizeof(T)) * cost_scale_;
-    const AllreduceAlgo chosen =
-        coll::ChooseAllreduce(tuning_, algo, modeled_bytes, size());
-    coll::Request::Info info{0, coll::AllreduceAlgoName(chosen),
-                             modeled_bytes};
-    if (revoked()) {
-      return coll::Request::Failed(info, ep_->now(),
-                                   Status(Code::kRevoked, "communicator revoked"));
-    }
-    ++coll_seq_;
-    info.op_id = coll_seq_;
-    const uint64_t channel =
-        sim::ChannelKey(group_->ctx_id, 1 + (coll_seq_ % 65534));
-    auto group = group_;
-    auto* ep = ep_;
-    const int rank = rank_;
-    const double cs = cost_scale_;
-    // Decided from shared state only, so every member agrees.
-    const bool rendezvous = coll::UseRingRendezvous(ep_->fabric(), chosen);
-    const uint64_t key = coll::RingRendezvous::Key(
-        coll::RingRendezvous::Stack::kMpi, coll_seq_);
-    return StartOp(info, [group, ep, rank, cs, channel, chosen, rendezvous,
-                          key, sendbuf, recvbuf,
-                          count](sim::Seconds* now) -> Status {
-      if (rendezvous) {
-        return group->ring_rendezvous.Allreduce<T>(
-            key, *ep, static_cast<int>(group->pids.size()), rank, cs,
-            sendbuf, recvbuf, count, now);
-      }
-      coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
-                             &group->revoke, /*death_watch=*/nullptr);
-      return coll::RunAllreduce<T>(chosen, ch, sendbuf, recvbuf, count);
-    });
+    return SubmitAllreduce(sendbuf, recvbuf, count, algo, /*blocking=*/false);
   }
 
   template <typename T>
   coll::Request IBcast(T* buf, size_t count, int root) {
-    coll::Request::Info info{
-        0, "binomial_bcast", static_cast<double>(count * sizeof(T)) * cost_scale_};
-    if (revoked()) {
-      return coll::Request::Failed(info, ep_->now(),
-                                   Status(Code::kRevoked, "communicator revoked"));
-    }
-    ++coll_seq_;
-    info.op_id = coll_seq_;
-    const uint64_t channel =
-        sim::ChannelKey(group_->ctx_id, 1 + (coll_seq_ % 65534));
-    auto group = group_;
-    auto* ep = ep_;
-    const int rank = rank_;
-    const double cs = cost_scale_;
-    return StartOp(info, [group, ep, rank, cs, channel, buf, count,
-                          root](sim::Seconds* now) -> Status {
-      coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
-                             &group->revoke, /*death_watch=*/nullptr);
-      return coll::BinomialBcast<T>(ch, buf, count, root);
-    });
+    return SubmitBcast(buf, count, root, /*blocking=*/false);
   }
 
   // Blocks until the request completes; merges its completion time into
@@ -158,7 +109,8 @@ class Comm : public coll::Transport {
   template <typename T>
   Status Allreduce(const T* sendbuf, T* recvbuf, size_t count,
                    AllreduceAlgo algo = AllreduceAlgo::kAuto) {
-    coll::Request req = IAllreduce(sendbuf, recvbuf, count, algo);
+    coll::Request req =
+        SubmitAllreduce(sendbuf, recvbuf, count, algo, /*blocking=*/true);
     return Wait(&req);
   }
 
@@ -166,25 +118,32 @@ class Comm : public coll::Transport {
   Status Allgather(const T* sendbuf, T* recvbuf, size_t count,
                    AllgatherAlgo algo = AllgatherAlgo::kAuto) {
     RCC_RETURN_IF_ERROR(BeginCollective());
-    Status s;
-    if (algo == AllgatherAlgo::kBruck ||
-        (algo == AllgatherAlgo::kAuto && count * sizeof(T) <= 4096)) {
-      s = coll::BruckAllgather<T>(*this, sendbuf, recvbuf, count);
-    } else {
-      s = coll::RingAllgather<T>(*this, sendbuf, recvbuf, count);
+    const bool bruck =
+        algo == AllgatherAlgo::kBruck ||
+        (algo == AllgatherAlgo::kAuto && count * sizeof(T) <= 4096);
+    if (InlineRendezvous<T>(bruck ? coll::Kernel::kBruckAllgather
+                                  : coll::Kernel::kRingAllgather,
+                            sendbuf, recvbuf, count, 0)) {
+      return FinishCollective(Status::Ok());
     }
-    return FinishCollective(s);
+    return FinishCollective(
+        bruck ? coll::BruckAllgather<T>(*this, sendbuf, recvbuf, count)
+              : coll::RingAllgather<T>(*this, sendbuf, recvbuf, count));
   }
 
   template <typename T>
   Status Bcast(T* buf, size_t count, int root) {
-    coll::Request req = IBcast(buf, count, root);
+    coll::Request req = SubmitBcast(buf, count, root, /*blocking=*/true);
     return Wait(&req);
   }
 
   template <typename T>
   Status Reduce(const T* sendbuf, T* recvbuf, size_t count, int root) {
     RCC_RETURN_IF_ERROR(BeginCollective());
+    if (InlineRendezvous<T>(coll::Kernel::kBinomialReduce, sendbuf, recvbuf,
+                            count, root)) {
+      return FinishCollective(Status::Ok());
+    }
     return FinishCollective(
         coll::BinomialReduce<T>(*this, sendbuf, recvbuf, count, root));
   }
@@ -205,6 +164,10 @@ class Comm : public coll::Transport {
 
   Status Barrier() {
     RCC_RETURN_IF_ERROR(BeginCollective());
+    if (InlineRendezvous<uint8_t>(coll::Kernel::kBarrier, nullptr, nullptr, 0,
+                                  0)) {
+      return FinishCollective(Status::Ok());
+    }
     return FinishCollective(coll::DisseminationBarrier(*this));
   }
 
@@ -231,9 +194,107 @@ class Comm : public coll::Transport {
   Status BeginCollective();
   Status FinishCollective(Status s);
 
-  // Launches the op worker chained after the previous op on this
-  // communicator instance.
-  coll::Request StartOp(coll::Request::Info info, coll::Request::Body body);
+  // The request-based collectives. `blocking`: the caller Waits for the
+  // request before anything else.
+  template <typename T>
+  coll::Request SubmitAllreduce(const T* sendbuf, T* recvbuf, size_t count,
+                                AllreduceAlgo algo, bool blocking) {
+    const double modeled_bytes =
+        static_cast<double>(count * sizeof(T)) * cost_scale_;
+    const AllreduceAlgo chosen =
+        coll::ChooseAllreduce(tuning_, algo, modeled_bytes, size());
+    coll::Request::Info info{0, coll::AllreduceAlgoName(chosen),
+                             modeled_bytes};
+    if (revoked()) {
+      return coll::Request::Failed(info, ep_->now(),
+                                   Status(Code::kRevoked, "communicator revoked"));
+    }
+    ++coll_seq_;
+    info.op_id = coll_seq_;
+    const uint64_t channel =
+        sim::ChannelKey(group_->ctx_id, 1 + (coll_seq_ % 65534));
+    const bool rendezvous =
+        coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T));
+    const coll::Rendezvous::Op op = RendezvousOp<T>(
+        coll::AllreduceKernel(chosen), count, 0, blocking);
+    const uint64_t key =
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kMpi, coll_seq_);
+    return coll::Request::Submit(
+        info, *ep_, &engine_tail_, blocking && rendezvous,
+        [group = group_, ep = ep_, rank = rank_, cs = cost_scale_,
+         channel, chosen, rendezvous, op, key, sendbuf, recvbuf,
+         count](sim::Seconds* now) -> Status {
+          if (rendezvous &&
+              group->rendezvous.Run<T>(
+                  key, op, group->pids, rank,
+                  {ep, sendbuf, recvbuf, cs, now})) {
+            return Status::Ok();
+          }
+          coll::FabricChannel ch(*ep, group->pids, rank, channel,
+                                 cs, now, &group->revoke,
+                                 /*death_watch=*/nullptr);
+          return coll::RunAllreduce<T>(chosen, ch, sendbuf, recvbuf,
+                                       count);
+        });
+  }
+
+  template <typename T>
+  coll::Request SubmitBcast(T* buf, size_t count, int root, bool blocking) {
+    coll::Request::Info info{
+        0, "binomial_bcast", static_cast<double>(count * sizeof(T)) * cost_scale_};
+    if (revoked()) {
+      return coll::Request::Failed(info, ep_->now(),
+                                   Status(Code::kRevoked, "communicator revoked"));
+    }
+    ++coll_seq_;
+    info.op_id = coll_seq_;
+    const uint64_t channel =
+        sim::ChannelKey(group_->ctx_id, 1 + (coll_seq_ % 65534));
+    const bool rendezvous =
+        coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T));
+    const coll::Rendezvous::Op op =
+        RendezvousOp<T>(coll::Kernel::kBinomialBcast, count, root, blocking);
+    const uint64_t key =
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kMpi, coll_seq_);
+    return coll::Request::Submit(
+        info, *ep_, &engine_tail_, blocking && rendezvous,
+        [group = group_, ep = ep_, rank = rank_, cs = cost_scale_,
+         channel, rendezvous, op, key, buf, count,
+         root](sim::Seconds* now) -> Status {
+          if (rendezvous &&
+              group->rendezvous.Run<T>(key, op, group->pids, rank,
+                                       {ep, buf, buf, cs, now})) {
+            return Status::Ok();
+          }
+          coll::FabricChannel ch(*ep, group->pids, rank, channel,
+                                 cs, now, &group->revoke,
+                                 /*death_watch=*/nullptr);
+          return coll::BinomialBcast<T>(ch, buf, count, root);
+        });
+  }
+
+  template <typename T>
+  coll::Rendezvous::Op RendezvousOp(coll::Kernel kernel, size_t count,
+                                    int root, bool blocking) const {
+    return {kernel, count, sizeof(T), root, blocking, &group_->revoke,
+            /*watch=*/nullptr};
+  }
+
+  // An inline (rank-clock) collective between BeginCollective and
+  // FinishCollective at the group's rendezvous; true when it completed
+  // there, false when the caller must run the message kernel.
+  template <typename T>
+  bool InlineRendezvous(coll::Kernel kernel, const T* sendbuf, T* recvbuf,
+                        size_t count, int root) {
+    if (!coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T))) {
+      return false;
+    }
+    return group_->rendezvous.Run<T>(
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kMpi, coll_seq_),
+        RendezvousOp<T>(kernel, count, root,
+                        engine_tail_.IdleBy(ep_->now())), group_->pids,
+        rank_, {ep_, sendbuf, recvbuf, cost_scale_, ep_->mutable_clock()});
+  }
 
   Status RawSend(int dst_rank, uint64_t channel, int tag, const void* data,
                  size_t bytes);

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "coll/ring_rendezvous.h"
+#include "coll/rendezvous.h"
 #include "sim/fabric.h"
 
 namespace rcc::mpi {
@@ -22,9 +22,9 @@ struct CommGroup {
   uint64_t ctx_id = 0;
   std::vector<int> pids;  // rank -> pid, immutable after creation
   sim::CancelToken revoke;
-  // Ring allreduces of this group's communicators that complete at a
-  // rendezvous (failure-free fibers runs; see coll/ring_rendezvous.h).
-  coll::RingRendezvous ring_rendezvous;
+  // Slot table of the fixed-schedule collectives of this group's
+  // communicators (declared fibers fabrics; see coll/rendezvous.h).
+  coll::Rendezvous rendezvous;
 
   int RankOfPid(int pid) const {
     for (size_t r = 0; r < pids.size(); ++r) {

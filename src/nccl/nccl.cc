@@ -35,9 +35,7 @@ std::unique_ptr<Comm> Comm::InitRank(sim::Endpoint& ep,
   // Bootstrap synchronisation: the init is collective; a dissemination
   // barrier aligns the participants' clocks (and surfaces peers that died
   // mid-init as an init failure, matching ncclCommInitRank).
-  comm->BeginOp().ok();
-  Status s = coll::DisseminationBarrier(*comm);
-  if (!comm->FinishOp(s).ok()) return nullptr;
+  if (!comm->Barrier().ok()) return nullptr;
   return comm;
 }
 
@@ -54,15 +52,6 @@ void Comm::NodeGroups(std::vector<std::vector<int>>* by_node,
     (*by_node)[it->second].push_back(rank);
     if (node == my_node) local_group->push_back(rank);
   }
-}
-
-coll::Request Comm::StartOp(coll::Request::Info info,
-                            coll::Request::Body body) {
-  coll::Request req =
-      coll::Request::Start(info, ep_->now(), std::move(body),
-                           ep_->fabric().engine(), ep_->pid(), &engine_tail_);
-  engine_tail_ = req;
-  return req;
 }
 
 void Comm::SyncStream() {

@@ -12,8 +12,11 @@
 // InitRank, whose cost (bootstrap + topology discovery + ring build)
 // grows with the rank count.
 //
-// Ring allreduces on a failure-free fibers fabric complete at a
-// rendezvous instead of over messages (coll/ring_rendezvous.h).
+// On a fabric that declared its kill model (fibers engine), the
+// fixed-schedule collectives go to the group's rendezvous table and may
+// complete without messages (coll/rendezvous.h), and a blocking
+// allreduce or broadcast whose rank has nothing in flight runs on the
+// rank's own task (Request::RunInline).
 #pragma once
 
 #include <cstring>
@@ -23,7 +26,7 @@
 
 #include "coll/algorithms.h"
 #include "coll/request.h"
-#include "coll/ring_rendezvous.h"
+#include "coll/rendezvous.h"
 #include "coll/transport.h"
 #include "coll/tuning.h"
 #include "mpi/group.h"
@@ -68,69 +71,12 @@ class Comm : public coll::Transport {
   // stand-ins for declared-size gradient buckets).
   template <typename T>
   coll::Request IAllreduce(const T* sendbuf, T* recvbuf, size_t count) {
-    const double modeled_bytes =
-        static_cast<double>(count * sizeof(T)) * cost_scale_;
-    const coll::AllreduceAlgo chosen = coll::ChooseAllreduce(
-        tuning_, coll::AllreduceAlgo::kAuto, modeled_bytes, size());
-    coll::Request::Info info{0, coll::AllreduceAlgoName(chosen),
-                             modeled_bytes};
-    if (broken_) {
-      return coll::Request::Failed(
-          info, ep_->now(), Status(Code::kIoError, "nccl communicator aborted"));
-    }
-    ++op_seq_;
-    info.op_id = op_seq_;
-    const uint64_t channel =
-        sim::ChannelKey(group_->ctx_id, 1 + (op_seq_ % 65534));
-    auto group = group_;
-    auto watch = watch_ext_;
-    auto* ep = ep_;
-    const int rank = rank_;
-    const double cs = cost_scale_;
-    // Decided from shared state only, so every member agrees.
-    const bool rendezvous = coll::UseRingRendezvous(ep_->fabric(), chosen);
-    const uint64_t key = coll::RingRendezvous::Key(
-        coll::RingRendezvous::Stack::kNccl, op_seq_);
-    return StartOp(info, [group, watch, ep, rank, cs, channel, chosen,
-                          rendezvous, key, sendbuf, recvbuf,
-                          count](sim::Seconds* now) -> Status {
-      if (rendezvous) {
-        return group->ring_rendezvous.Allreduce<T>(
-            key, *ep, static_cast<int>(group->pids.size()), rank, cs,
-            sendbuf, recvbuf, count, now);
-      }
-      // Async error handling: any member death is communicator-fatal.
-      coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
-                             /*cancel=*/nullptr,
-                             watch ? watch.get() : &group->pids);
-      return coll::RunAllreduce<T>(chosen, ch, sendbuf, recvbuf, count);
-    });
+    return SubmitAllreduce(sendbuf, recvbuf, count, /*blocking=*/false);
   }
 
   template <typename T>
   coll::Request IBroadcast(T* buf, size_t count, int root) {
-    coll::Request::Info info{
-        0, "binomial_bcast", static_cast<double>(count * sizeof(T)) * cost_scale_};
-    if (broken_) {
-      return coll::Request::Failed(
-          info, ep_->now(), Status(Code::kIoError, "nccl communicator aborted"));
-    }
-    ++op_seq_;
-    info.op_id = op_seq_;
-    const uint64_t channel =
-        sim::ChannelKey(group_->ctx_id, 1 + (op_seq_ % 65534));
-    auto group = group_;
-    auto watch = watch_ext_;
-    auto* ep = ep_;
-    const int rank = rank_;
-    const double cs = cost_scale_;
-    return StartOp(info, [group, watch, ep, rank, cs, channel, buf, count,
-                          root](sim::Seconds* now) -> Status {
-      coll::FabricChannel ch(*ep, group->pids, rank, channel, cs, now,
-                             /*cancel=*/nullptr,
-                             watch ? watch.get() : &group->pids);
-      return coll::BinomialBcast<T>(ch, buf, count, root);
-    });
+    return SubmitBroadcast(buf, count, root, /*blocking=*/false);
   }
 
   // Blocks until the request completes, merges its completion time into
@@ -140,26 +86,35 @@ class Comm : public coll::Transport {
   bool Test(const coll::Request* req) const;
   Status WaitAll(std::vector<coll::Request>* reqs);
 
-  // --- blocking collectives (Start + Wait) ---
+  // --- blocking collectives ---
   template <typename T>
   Status Allreduce(const T* sendbuf, T* recvbuf, size_t count) {
-    coll::Request req = IAllreduce(sendbuf, recvbuf, count);
+    coll::Request req =
+        SubmitAllreduce(sendbuf, recvbuf, count, /*blocking=*/true);
     return Wait(&req);
   }
   template <typename T>
   Status Broadcast(T* buf, size_t count, int root) {
-    coll::Request req = IBroadcast(buf, count, root);
+    coll::Request req = SubmitBroadcast(buf, count, root, /*blocking=*/true);
     return Wait(&req);
   }
   template <typename T>
   Status Allgather(const T* sendbuf, T* recvbuf, size_t count) {
     RCC_RETURN_IF_ERROR(BeginOp());
+    if (InlineRendezvous<T>(coll::Kernel::kRingAllgather, sendbuf, recvbuf,
+                            count)) {
+      return FinishOp(Status::Ok());
+    }
     return FinishOp(coll::RingAllgather<T>(*this, sendbuf, recvbuf, count));
   }
   // Dissemination barrier (used by the resilient layer as the
   // synchronizing phase of each resilient collective).
   Status Barrier() {
     RCC_RETURN_IF_ERROR(BeginOp());
+    if (InlineRendezvous<uint8_t>(coll::Kernel::kBarrier, nullptr, nullptr,
+                                  0)) {
+      return FinishOp(Status::Ok());
+    }
     return FinishOp(coll::DisseminationBarrier(*this));
   }
 
@@ -215,7 +170,111 @@ class Comm : public coll::Transport {
        double cost_scale);
   Status BeginOp();
   Status FinishOp(Status s);
-  coll::Request StartOp(coll::Request::Info info, coll::Request::Body body);
+  // The request-based collectives. `blocking`: the caller Waits for the
+  // request before anything else. Algorithm choice follows the
+  // *modeled* wire size.
+  template <typename T>
+  coll::Request SubmitAllreduce(const T* sendbuf, T* recvbuf, size_t count,
+                                bool blocking) {
+    const double modeled_bytes =
+        static_cast<double>(count * sizeof(T)) * cost_scale_;
+    const coll::AllreduceAlgo chosen = coll::ChooseAllreduce(
+        tuning_, coll::AllreduceAlgo::kAuto, modeled_bytes, size());
+    coll::Request::Info info{0, coll::AllreduceAlgoName(chosen),
+                             modeled_bytes};
+    if (broken_) {
+      return coll::Request::Failed(
+          info, ep_->now(), Status(Code::kIoError, "nccl communicator aborted"));
+    }
+    ++op_seq_;
+    info.op_id = op_seq_;
+    const uint64_t channel =
+        sim::ChannelKey(group_->ctx_id, 1 + (op_seq_ % 65534));
+    const bool rendezvous =
+        coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T));
+    const coll::Rendezvous::Op op =
+        RendezvousOp<T>(coll::AllreduceKernel(chosen), count, 0, blocking);
+    const uint64_t key =
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kNccl, op_seq_);
+    return coll::Request::Submit(
+        info, *ep_, &engine_tail_, blocking && rendezvous,
+        [group = group_, watch = watch_ext_, ep = ep_, rank = rank_,
+         cs = cost_scale_, channel, chosen, rendezvous, op, key,
+         sendbuf, recvbuf, count](sim::Seconds* now) -> Status {
+          if (rendezvous &&
+              group->rendezvous.Run<T>(
+                  key, op, group->pids, rank,
+                  {ep, sendbuf, recvbuf, cs, now})) {
+            return Status::Ok();
+          }
+          // Async error handling: any member death is
+          // communicator-fatal.
+          coll::FabricChannel ch(*ep, group->pids, rank, channel,
+                                 cs, now, /*cancel=*/nullptr,
+                                 watch ? watch.get() : &group->pids);
+          return coll::RunAllreduce<T>(chosen, ch, sendbuf, recvbuf,
+                                       count);
+        });
+  }
+
+  template <typename T>
+  coll::Request SubmitBroadcast(T* buf, size_t count, int root,
+                                bool blocking) {
+    coll::Request::Info info{
+        0, "binomial_bcast", static_cast<double>(count * sizeof(T)) * cost_scale_};
+    if (broken_) {
+      return coll::Request::Failed(
+          info, ep_->now(), Status(Code::kIoError, "nccl communicator aborted"));
+    }
+    ++op_seq_;
+    info.op_id = op_seq_;
+    const uint64_t channel =
+        sim::ChannelKey(group_->ctx_id, 1 + (op_seq_ % 65534));
+    const bool rendezvous =
+        coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T));
+    const coll::Rendezvous::Op op =
+        RendezvousOp<T>(coll::Kernel::kBinomialBcast, count, root, blocking);
+    const uint64_t key =
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kNccl, op_seq_);
+    return coll::Request::Submit(
+        info, *ep_, &engine_tail_, blocking && rendezvous,
+        [group = group_, watch = watch_ext_, ep = ep_, rank = rank_,
+         cs = cost_scale_, channel, rendezvous, op, key, buf, count,
+         root](sim::Seconds* now) -> Status {
+          if (rendezvous &&
+              group->rendezvous.Run<T>(key, op, group->pids, rank,
+                                       {ep, buf, buf, cs, now})) {
+            return Status::Ok();
+          }
+          coll::FabricChannel ch(*ep, group->pids, rank, channel,
+                                 cs, now, /*cancel=*/nullptr,
+                                 watch ? watch.get() : &group->pids);
+          return coll::BinomialBcast<T>(ch, buf, count, root);
+        });
+  }
+
+  template <typename T>
+  coll::Rendezvous::Op RendezvousOp(coll::Kernel kernel, size_t count,
+                                    int root, bool blocking) const {
+    return {kernel, count, sizeof(T), root, blocking, /*cancel=*/nullptr,
+            watch_ext_.get()};
+  }
+
+  // An inline (rank-clock) collective between BeginOp and FinishOp, which
+  // drained the stream, at the group's rendezvous; true when it completed
+  // there, false when the caller must run the message kernel.
+  template <typename T>
+  bool InlineRendezvous(coll::Kernel kernel, const T* sendbuf, T* recvbuf,
+                        size_t count) {
+    if (!coll::RendezvousCandidate(ep_->fabric(), size(), sizeof(T))) {
+      return false;
+    }
+    return group_->rendezvous.Run<T>(
+        coll::Rendezvous::Key(coll::Rendezvous::Stack::kNccl, op_seq_),
+        RendezvousOp<T>(kernel, count, 0, /*blocking=*/true), group_->pids,
+        rank_, {ep_, sendbuf, recvbuf, cost_scale_, ep_->mutable_clock()});
+  }
+
   // Stream-ordering for the inline collectives: drains any in-flight
   // request-based op before an inline op starts (real NCCL serializes
   // everything on the stream).

@@ -24,6 +24,13 @@ ServingDriver::ServingDriver(core::ResilientComm* rc, const ServeOptions& opts)
       batcher_(opts.max_batch),
       ctl_(opts.autoscale),
       last_repairs_(rc->repairs()) {
+  // Serving ranks die only by their own hand: an armed self-kill firing
+  // on their own clock, a node-policy leave, a graceful scale-in or an
+  // abort. So blocking collectives may complete at a rendezvous
+  // (coll/rendezvous.h). Every rank gets here only after the bootstrap
+  // barrier of its communicator, which every rank entered before.
+  rc->endpoint().fabric().DeclareKillModel(
+      sim::Fabric::KillModel::kSelfOnly);
   rc_->SetReplayHook(
       [this](int64_t /*op_id*/, int64_t /*min_id*/) { ++decode_replays_; });
 }

@@ -28,6 +28,11 @@ class Endpoint {
   // orders a parked task by *clock() (read only while the rank is not
   // running, so the read is race-free).
   const Seconds* clock() const { return &now_; }
+  // The same clock, writable: a blocking collective that runs its body
+  // on the rank's own task advances it as its op clock (mpi::Comm,
+  // nccl::Comm), and a rendezvous writes a parked member's completion
+  // into it (coll/rendezvous.h).
+  Seconds* mutable_clock() { return &now_; }
   bool alive() const { return fabric_->IsAlive(pid_); }
 
   // --- virtual time ---

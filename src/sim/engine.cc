@@ -291,6 +291,10 @@ std::atomic<int> g_fiber_engine_count{0};
 
 bool OnFiberTask() { return tls_current_task != nullptr; }
 
+int CurrentTaskPid() {
+  return tls_current_task != nullptr ? tls_current_task->pid : -1;
+}
+
 // ---------------------------------------------------------------------
 // Threads backend: a task is a real OS thread, a handle is the thread.
 // ---------------------------------------------------------------------

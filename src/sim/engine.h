@@ -91,6 +91,11 @@ void SetStallObserver(std::function<void(const std::string& report)> observer);
 // deadlines.
 bool OnFiberTask();
 
+// The pid (TaskOptions::pid) of the fiber task running on this thread,
+// or -1 off a fiber task. A collective-op task carries its submitting
+// rank's pid.
+int CurrentTaskPid();
+
 // Cooperative yield for busy-wait loops (spinning on a flag another rank
 // sets). Under threads this is std::this_thread::yield(); under fibers
 // the calling fiber re-queues itself *behind* every runnable peer at the

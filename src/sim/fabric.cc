@@ -34,9 +34,31 @@ void Fabric::MarkDead(int pid) {
   alive_count_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
+void Fabric::WakeWaitersLocked() {
+  for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
+  for (WaitPoint* wp : rendezvous_waiters_) wp->NotifyAll();
+}
+
+void Fabric::DeclareKillModel(KillModel model) {
+  KillModel expected = KillModel::kUndeclared;
+  if (kill_model_.compare_exchange_strong(expected, model,
+                                          std::memory_order_acq_rel)) {
+    return;
+  }
+  RCC_CHECK(expected == model)
+      << "fabric " << id_ << ": conflicting kill-model declarations";
+}
+
 void Fabric::Kill(int pid) {
-  RCC_CHECK(!failure_free()) << "Kill(pid " << pid << ") on fabric " << id_
-                             << ", which was declared failure-free";
+  RCC_CHECK(kill_model() != KillModel::kNone)
+      << "Kill(pid " << pid << ") on fabric " << id_
+      << ", which was declared failure-free";
+  // Only a fiber task knows whose code it runs; a threads-engine rank
+  // never takes a rendezvous, so nothing depends on the check there.
+  RCC_CHECK(kill_model() != KillModel::kSelfOnly || !OnFiberTask() ||
+            CurrentTaskPid() == pid)
+      << "Kill(pid " << pid << ") from pid " << CurrentTaskPid()
+      << " on fabric " << id_ << ", which was declared self-kill-only";
   std::lock_guard<std::mutex> lock(mu_);
   if (pid < 0 || pid >= static_cast<int>(procs_.size())) return;
   if (!procs_[pid].alive) return;
@@ -44,18 +66,23 @@ void Fabric::Kill(int pid) {
   // Wake everything: any rank blocked on this peer (directly or through a
   // death watch) must re-evaluate. Fibers parked in timeout waits (KV
   // poll loops) are woken too — their predicate may now never hold.
-  for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
+  WakeWaitersLocked();
   engine_->WakeAllTimeoutParked();
 }
 
 void Fabric::KillNode(int node) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (failure_free() && node >= 0 &&
+  const KillModel model = kill_model();
+  if (model != KillModel::kUndeclared && node >= 0 &&
       node < static_cast<int>(node_pids_.size())) {
     for (int pid : node_pids_[node]) {
-      RCC_CHECK(!procs_[pid].alive)
+      RCC_CHECK(!procs_[pid].alive ||
+                (model == KillModel::kSelfOnly && OnFiberTask() &&
+                 CurrentTaskPid() == pid))
           << "KillNode(" << node << ") would kill pid " << pid
-          << " on fabric " << id_ << ", which was declared failure-free";
+          << " on fabric " << id_ << ", which was declared "
+          << (model == KillModel::kNone ? "failure-free"
+                                        : "self-kill-only");
     }
   }
   bool any = false;
@@ -68,8 +95,34 @@ void Fabric::KillNode(int node) {
     }
   }
   if (any) {
-    for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
+    WakeWaitersLocked();
     engine_->WakeAllTimeoutParked();
+  }
+}
+
+bool Fabric::AnyDead(const std::vector<int>& pids) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int pid : pids) {
+    if (pid >= 0 && pid < static_cast<int>(procs_.size()) &&
+        !procs_[pid].alive) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Fabric::AddRendezvousWaiter(WaitPoint* wp) {
+  std::lock_guard<std::mutex> lock(mu_);
+  rendezvous_waiters_.push_back(wp);
+}
+
+void Fabric::RemoveRendezvousWaiter(WaitPoint* wp) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = std::find(rendezvous_waiters_.begin(), rendezvous_waiters_.end(),
+                      wp);
+  if (it != rendezvous_waiters_.end()) {
+    *it = rendezvous_waiters_.back();
+    rendezvous_waiters_.pop_back();
   }
 }
 
@@ -246,7 +299,7 @@ void Fabric::PurgeContext(uint64_t context_id) {
 
 void Fabric::WakeAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& proc : procs_) proc.mbox->wp.NotifyAll();
+  WakeWaitersLocked();
 }
 
 }  // namespace rcc::sim

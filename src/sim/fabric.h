@@ -26,11 +26,17 @@
 //    receive costs O(1), not O(watch), while nobody dies.
 //  * A receive may carry a CancelToken (ULFM revoke: interrupting ranks
 //    blocked inside a broken collective).
-//  * A driver that knows no process will die (core::RunUlfmElastic with
-//    an empty failure plan) may declare the fabric failure-free. Kill and
-//    KillNode then fail a check naming the pid, and collectives may
-//    complete at a rendezvous instead of exchanging messages (see
-//    coll/ring_rendezvous.h).
+//  * A driver declares the fabric's kill model (DeclareKillModel) when it
+//    knows how processes of its run may die: kNone (nobody dies; Kill
+//    and KillNode then fail a check naming the pid) or kSelfOnly (a
+//    process dies only by its own hand: an armed self-kill firing on its
+//    own clock, or Kill(own pid) at a program point; a kill of another
+//    process fails a check). On a declared fibers fabric a collective
+//    with a fixed schedule may complete at a rendezvous instead of
+//    exchanging messages (coll/rendezvous.h). Kill, KillNode and WakeAll
+//    wake the rendezvous slots still open (AddRendezvousWaiter), so
+//    their members re-check the gate. An undeclared fabric keeps every
+//    collective on messages.
 #pragma once
 
 #include <atomic>
@@ -104,15 +110,25 @@ class Fabric {
   void Kill(int pid);
   void KillNode(int node);
 
-  // Declares that no process of this fabric will ever die; permanent.
-  // Call it before the ranks start. Afterwards Kill and KillNode (and
-  // so an endpoint's armed self-kill firing) abort the process.
-  void DeclareFailureFree() {
-    failure_free_.store(true, std::memory_order_release);
+  // How the processes of this fabric may die (see the file comment).
+  enum class KillModel { kUndeclared, kNone, kSelfOnly };
+  // Declares the kill model; permanent, and a later declaration must
+  // repeat it. Declare it before the ranks start, or at a point each rank
+  // reaches only after every rank entered every collective before it
+  // (ServingDriver declares after the bootstrap barrier): a collective's
+  // members must all see the same declaration when they enter it.
+  void DeclareKillModel(KillModel model);
+  KillModel kill_model() const {
+    return kill_model_.load(std::memory_order_acquire);
   }
-  bool failure_free() const {
-    return failure_free_.load(std::memory_order_acquire);
-  }
+
+  // True when any of `pids` is dead (one lock, one scan).
+  bool AnyDead(const std::vector<int>& pids) const;
+
+  // Wait points of open rendezvous slots: Kill, KillNode and WakeAll
+  // notify each, so parked members re-check their gate.
+  void AddRendezvousWaiter(WaitPoint* wp);
+  void RemoveRendezvousWaiter(WaitPoint* wp);
 
   // Messages accepted by Send so far (dropped ones to dead peers
   // included).
@@ -178,6 +194,7 @@ class Fabric {
   bool FindMatch(Mailbox& mbox, int src, uint64_t channel, int tag,
                  Message* out);  // requires mu_ held
   void MarkDead(int pid);        // requires mu_ held
+  void WakeWaitersLocked();      // requires mu_ held
 
   static uint64_t NextFabricId() {
     static std::atomic<uint64_t> next{1};
@@ -192,7 +209,8 @@ class Fabric {
   std::atomic<int> proc_count_{0};
   std::atomic<int> alive_count_{0};
   uint64_t messages_sent_ = 0;                 // guarded by mu_
-  std::atomic<bool> failure_free_{false};
+  std::vector<WaitPoint*> rendezvous_waiters_;  // guarded by mu_
+  std::atomic<KillModel> kill_model_{KillModel::kUndeclared};
   SimConfig cfg_;
   uint64_t id_;
   std::unique_ptr<Engine> engine_;

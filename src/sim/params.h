@@ -52,8 +52,8 @@ struct NetParams {
 // link's latency plus the modeled bytes over its bandwidth, with the
 // intra-node (NVLink-class) or inter-node link picked by placement. The
 // one wire-time formula: Fabric::Recv prices every message with it, and
-// the collective-granularity ring model (coll/ring_rendezvous.h) prices
-// its virtual messages with it, so both agree to the last bit.
+// the collective-granularity models (coll/rendezvous.h) price their
+// virtual messages with it, so both agree to the last bit.
 inline Seconds ArrivalTime(const NetParams& net, Seconds depart,
                            double cost_bytes, bool same_node) {
   const Seconds latency = same_node ? net.intra_latency : net.inter_latency;

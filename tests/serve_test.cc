@@ -4,7 +4,11 @@
 // double-completed across any repair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -252,6 +256,69 @@ RunOut RunServe(int world, const ServeOptions& opts, kv::Store* store,
   }
   cluster.Join();
   return out;
+}
+
+// Nearest-interpolated quantile, as perfbench reports TTFT.
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The message path's results, printed with %.17g.
+constexpr double kPinnedEndTime = 3.8346823343547243;
+constexpr uint64_t kPinnedDigest = 8502673158464902648ull;
+constexpr int kPinnedRepairs = 1;
+constexpr int64_t kPinnedSteps = 2922;
+constexpr double kPinnedTtftP50 = 0.0016267292547385015;
+constexpr double kPinnedTtftP99 = 0.28727755666549692;
+
+// A 16-rank serving run on fibers with one timed kill in the middle of
+// the arrival span. The values are the message path's, printed with
+// %.17g by a build whose collectives all went over the fabric; decode
+// steps before and after the kill now complete at a rendezvous
+// (coll/rendezvous.h) and must reproduce them bit for bit.
+TEST(Serving, TimedKillRunMatchesTheMessagePathBitForBit) {
+  ServeOptions o;
+  o.traffic.seed = 21;
+  o.traffic.requests = 240;
+  o.traffic.base_rps = 60.0;
+  o.traffic.diurnal_amplitude = 0.0;
+  o.traffic.min_prompt = 8;
+  o.traffic.max_prompt = 32;
+  o.traffic.min_decode = 8;
+  o.traffic.max_decode = 24;
+  o.max_batch = 8;
+  o.hidden = 64;
+  o.flops_per_token = 5e8;
+  o.autoscale.enabled = false;
+  sim::SimConfig cfg;
+  cfg.engine = sim::EngineKind::kFibers;
+  RunOut out = RunServe(16, o, nullptr, cfg, /*kill_at=*/2.0, /*kill_pid=*/5);
+  ASSERT_EQ(out.finished.size(), 15u);
+  ExpectNoDropsNoDoubles(out, 240);
+  const ServeReport& r = out.finished.front();
+  std::vector<double> ttft;
+  for (const Completion& c : r.completions) {
+    ttft.push_back(c.first_token - c.arrival);
+  }
+  const double p50 = Quantile(ttft, 0.5);
+  const double p99 = Quantile(ttft, 0.99);
+  std::printf("end_time=%.17g digest=%llu repairs=%d steps=%lld "
+              "ttft_p50=%.17g ttft_p99=%.17g\n",
+              r.end_time, static_cast<unsigned long long>(r.digest),
+              r.repairs, static_cast<long long>(r.steps), p50, p99);
+  EXPECT_TRUE(BitEqual(r.end_time, kPinnedEndTime)) << r.end_time;
+  EXPECT_EQ(r.digest, kPinnedDigest);
+  EXPECT_EQ(r.repairs, kPinnedRepairs);
+  EXPECT_EQ(r.steps, kPinnedSteps);
+  EXPECT_TRUE(BitEqual(p50, kPinnedTtftP50)) << p50;
+  EXPECT_TRUE(BitEqual(p99, kPinnedTtftP99)) << p99;
+  EXPECT_EQ(r.final_world, 15);
 }
 
 TEST(Serving, DrainsEveryRequestWithoutFailures) {

@@ -147,14 +147,24 @@ int main(int argc, char** argv) {
   const double p999 = ttft.Quantile(0.999) * 1e3;
   const bool slo_ok = p999 <= p999_ms;
 
+  // Deterministic traffic counters: fabric messages, and collectives
+  // that completed at a rendezvous or fell back to messages
+  // (coll/rendezvous.h).
+  const auto rendezvous = [](const char* outcome) {
+    return obs::Registry::Global().CounterValue("rcc_coll_rendezvous_total",
+                                                {{"outcome", outcome}});
+  };
   std::printf(
       "serving_smoke: ranks=%d engine=%s requests=%d survivors=%zu "
-      "aborted=%d repaired=%d ttft_p999_ms=%.2f (bound %.2f) -> %s\n",
+      "aborted=%d repaired=%d ttft_p999_ms=%.2f (bound %.2f) "
+      "messages=%llu rendezvous_commit=%.0f rendezvous_fallback=%.0f -> %s\n",
       ranks,
       sim::ResolveEngineKind(cfg.engine) == sim::EngineKind::kFibers
           ? "fibers"
           : "threads",
       requests, finished.size(), aborted, repaired, p999, p999_ms,
+      static_cast<unsigned long long>(cluster.fabric().MessagesSent()),
+      rendezvous("commit"), rendezvous("fallback"),
       verified && slo_ok ? "PASS" : "FAIL");
   // Failure classes 2 (verification) and 4 (SLO breach) leave the black
   // box behind: one flight dump per rank in RCC_FLIGHT_DIR, for
